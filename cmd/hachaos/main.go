@@ -9,6 +9,7 @@
 //
 //	hachaos -seeds 64                         # 64 seeds x all profiles
 //	hachaos -seeds 200 -profile moving -workers 8
+//	hachaos -seeds 64 -profile parallel       # the sharded apply driver
 //	hachaos -replay 15 -profile moving -v     # re-run one plan exactly
 //	hachaos -seeds 64 -shrink -out repros/    # minimize any failures
 //
@@ -31,7 +32,7 @@ func main() {
 	var (
 		seeds    = flag.Int("seeds", 64, "seeds per profile")
 		start    = flag.Int64("start", 1, "first seed")
-		profile  = flag.String("profile", "all", `profiles to sweep: comma list of readlocks,acyclic,unrestricted,moving,bank, or "all"`)
+		profile  = flag.String("profile", "all", "profiles to sweep: comma list of "+strings.Join(chaoskit.ProfileNames(), ",")+`, or "all" (the first five)`)
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel plan executions")
 		shrink   = flag.Bool("shrink", false, "minimize failing plans")
 		out      = flag.String("out", "", "directory for reproducer bundles (implies -shrink)")

@@ -398,7 +398,12 @@ func TestAcyclicProfileGeneratesForests(t *testing.T) {
 
 // TestProfileByName covers the lookup used by cmd/hachaos flags.
 func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"readlocks", "acyclic", "unrestricted", "moving", "bank", "compaction"} {
+	want := []string{"readlocks", "acyclic", "unrestricted", "moving", "bank",
+		"compaction", "batching", "parallel", "placement"}
+	if got := ProfileNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ProfileNames() = %v, want %v", got, want)
+	}
+	for _, name := range want {
 		pr, ok := ProfileByName(name)
 		if !ok || pr.Name != name {
 			t.Errorf("ProfileByName(%q) = %+v, %v", name, pr, ok)

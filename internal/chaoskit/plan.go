@@ -365,29 +365,28 @@ func PlacementProfile() Profile {
 	}
 }
 
-// ProfileByName resolves a profile by name ("readlocks", "acyclic",
-// "unrestricted", "moving", "bank", "compaction", "batching",
-// "parallel", "placement").
+// AllProfiles is the table of every named profile: the four option
+// groups of Profiles, then the workload and subsystem profiles.
+func AllProfiles() []Profile {
+	return append(Profiles(), BankProfile(), CompactionProfile(),
+		BatchingProfile(), ParallelProfile(), PlacementProfile())
+}
+
+// ProfileNames lists the names of AllProfiles, in table order.
+func ProfileNames() []string {
+	var names []string
+	for _, p := range AllProfiles() {
+		names = append(names, p.Name)
+	}
+	return names
+}
+
+// ProfileByName resolves a profile of AllProfiles by name.
 func ProfileByName(name string) (Profile, bool) {
-	for _, p := range Profiles() {
+	for _, p := range AllProfiles() {
 		if p.Name == name {
 			return p, true
 		}
-	}
-	if b := BankProfile(); b.Name == name {
-		return b, true
-	}
-	if c := CompactionProfile(); c.Name == name {
-		return c, true
-	}
-	if bt := BatchingProfile(); bt.Name == name {
-		return bt, true
-	}
-	if pp := ParallelProfile(); pp.Name == name {
-		return pp, true
-	}
-	if pl := PlacementProfile(); pl.Name == name {
-		return pl, true
 	}
 	return Profile{}, false
 }

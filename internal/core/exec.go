@@ -567,164 +567,15 @@ func (n *Node) abortBlocked(t *activeTxn, cause error) {
 	}
 }
 
-// --- quasi-transaction application -----------------------------------
-
-// quasiWaiter tracks a quasi-transaction acquiring its write locks.
-type quasiWaiter struct {
-	q         txn.Quasi
-	f         fragments.FragmentID
-	st        *streamState
-	remaining map[fragments.ObjectID]bool
-	// ordered is false for commutative fragments, whose installation
-	// neither blocks nor advances the strict stream sequence.
-	ordered bool
-
-	// Sharded-apply run state (nil/zero on the serial path): the
-	// contiguous run this waiter installs as a group under q.Txn's
-	// locks, its shard, whether the shard slot is held through the
-	// installation, and whether installation is already scheduled.
-	run       []txn.Quasi
-	shardIdx  int
-	slotHeld  bool
-	scheduled bool
-}
-
-// applyQuasi installs a quasi-transaction under exclusive locks,
-// wounding local transactions if a deadlock would otherwise arise
-// (remote updates have priority: they are already committed at the home
-// node and cannot be aborted).
-func (n *Node) applyQuasi(f fragments.FragmentID, st *streamState, q txn.Quasi) {
-	st.applying = true
-	n.acquireAndInstall(&quasiWaiter{q: q, f: f, st: st, ordered: true,
-		remaining: make(map[fragments.ObjectID]bool)})
-}
-
-// applyQuasiUnordered installs a commutative fragment's
-// quasi-transaction without stream sequencing.
-func (n *Node) applyQuasiUnordered(f fragments.FragmentID, st *streamState, q txn.Quasi) {
-	n.acquireAndInstall(&quasiWaiter{q: q, f: f, st: st, ordered: false,
-		remaining: make(map[fragments.ObjectID]bool)})
-}
-
-// acquireAndInstall takes the quasi-transaction's write locks (wounding
-// local holders on deadlock) and installs once all are held.
-func (n *Node) acquireAndInstall(w *quasiWaiter) {
-	q := w.q
-	if n.quasiWaiters == nil {
-		n.quasiWaiters = make(map[txn.ID]*quasiWaiter)
-	}
-	n.quasiWaiters[q.Txn] = w
-	for _, o := range sortedWriteObjects(q.Writes) {
-		granted, err := n.locks.Acquire(q.Txn, o, lock.Exclusive)
-		if err != nil {
-			// Deadlock: wound the local holders and retry.
-			n.woundHolders(o, q.Txn)
-			granted, err = n.locks.Acquire(q.Txn, o, lock.Exclusive)
-			if err != nil {
-				// Still cyclic through other objects; wound again is not
-				// possible here — treat as queued; the cycle was broken
-				// by the wounds above in all realizable schedules.
-				granted = false
-			}
-		}
-		if !granted {
-			w.remaining[o] = true
-		}
-	}
-	if len(w.remaining) == 0 {
-		n.installQuasi(w)
-	}
-}
-
-// woundHolders aborts every local transaction holding a lock on o (and
-// force-releases remote readers), so a committed remote update can
-// proceed.
-func (n *Node) woundHolders(o fragments.ObjectID, requester txn.ID) {
-	for _, h := range n.locks.Holders(o) {
-		if h == requester {
-			continue
-		}
-		if t, ok := n.active[h]; ok {
-			n.cl.stats.Wounds.Add(1)
-			if n.tr.Enabled() {
-				n.tr.Emit(trace.Event{Kind: trace.KWound, Txn: h,
-					Other: requester, Obj: o})
-			}
-			n.abortBlocked(t, ErrWounded)
-			continue
-		}
-		if rh, ok := n.remoteHeld[h]; ok {
-			n.cl.sched.Cancel(rh.leaseEv)
-			delete(n.remoteHeld, h)
-			n.onGrants(n.locks.Release(h))
-		}
-	}
-}
-
-// ensureCataloged registers a quasi-transaction's write objects in this
-// process's catalog. In the simulator the shared catalog already knows
-// them (the home node's write path registered each object before the
-// quasi-transaction was broadcast, so this is a no-op); in a SingleNode
-// multi-process deployment each process has its own catalog, which
-// first learns of a remote agent's dynamically created objects here —
-// before the install and any application trigger that reads them.
-func (n *Node) ensureCataloged(f fragments.FragmentID, writes []txn.WriteOp) {
-	for _, wo := range writes {
-		// The only possible error is a cross-fragment conflict, which
-		// would require two agents writing the same object — excluded by
-		// the fragments-and-agents ownership model.
-		_ = n.cl.cat.EnsureObject(f, wo.Object)
-	}
-}
-
-// installQuasi applies the quasi-transaction's writes atomically and,
-// for ordered fragments, advances the stream.
-func (n *Node) installQuasi(w *quasiWaiter) {
-	n.ensureCataloged(w.f, w.q.Writes)
-	n.store.ApplyQuasi(w.q)
-	if w.ordered {
-		w.st.last = w.q.Pos
-	} else if w.st.last.Less(w.q.Pos) {
-		w.st.last = w.q.Pos
-	}
-	w.st.appliedLog = append(w.st.appliedLog, w.q)
-	n.cl.stats.QuasiApplied.Add(1)
-	lag := n.cl.sched.Now().Sub(w.q.Stamp)
-	n.cl.stats.QuasiLag.Observe(lag)
-	n.cl.reg.IncApply(w.f, w.q.Home)
-	n.cl.reg.ObserveQuasiLag(w.f, w.q.Home, lag)
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KQuasiApply, Txn: w.q.Txn,
-			Frag: w.f, Pos: w.q.Pos, Peer: w.q.Home, HasPeer: true, Dur: lag})
-	}
-	delete(n.quasiWaiters, w.q.Txn)
-	grants := n.locks.Release(w.q.Txn)
-	if w.ordered {
-		w.st.applying = false
-	}
-	n.onGrants(grants)
-	if n.cl.onQuasiApplied != nil {
-		n.cl.onQuasiApplied(n.id, w.q)
-	}
-	n.notifyStreamWaiters(w.st)
-	if w.ordered {
-		n.drainStream(w.f, w.st)
-	}
-}
-
 // onGrants dispatches lock grants produced by a Release call to their
 // waiting owners: parked local transactions, waiting quasi-transactions,
 // or queued remote lock requests.
 func (n *Node) onGrants(grants []lock.Grant) {
 	for _, g := range grants {
-		if w, ok := n.quasiWaiters[g.Txn]; ok {
+		if w, ok := n.quasiWaiters[g.Txn]; ok && w.remaining[g.Object] {
 			delete(w.remaining, g.Object)
-			if len(w.remaining) == 0 {
-				if w.run != nil {
-					n.scheduleInstall(n.apply, w)
-				} else {
-					n.installQuasi(w)
-				}
+			if len(w.remaining) == 0 && !w.acquiring {
+				n.quasiGranted(w)
 			}
 			continue
 		}

@@ -124,7 +124,7 @@ func (n *Node) handleM0(m m0Msg) {
 
 // performSwitch moves the stream to the new epoch. If a
 // quasi-transaction is still parked on locks, the switch retries after
-// it installs (installQuasi calls drainStream, which re-runs waiters).
+// it installs (installQuasi notifies the stream's waiters).
 func (n *Node) performSwitch(f fragments.FragmentID, st *streamState, m m0Msg) {
 	if st.applying {
 		// Rare: wait for the in-flight installation, then switch.

@@ -7,6 +7,7 @@ import (
 	"fragdb/internal/broadcast"
 	"fragdb/internal/fragments"
 	"fragdb/internal/lock"
+	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
 	"fragdb/internal/storage"
@@ -133,7 +134,8 @@ type streamState struct {
 	last txn.FragPos
 	// pending buffers out-of-order or future-epoch quasi-transactions.
 	pending map[txn.FragPos]txn.Quasi
-	// applying is true while a quasi-transaction is parked on locks; the
+	// applying latches the stream while a run of it is being applied
+	// (acquiring, parked on locks, or in its shard's apply window); the
 	// stream must not advance past it.
 	applying bool
 	// appliedLog keeps the quasi-transactions installed in this epoch,
@@ -186,8 +188,12 @@ type Node struct {
 	active     map[txn.ID]*activeTxn
 	streams    map[fragments.FragmentID]*streamState
 
-	// quasiWaiters tracks quasi-transactions blocked on write locks.
+	// quasiWaiters tracks quasi-transaction runs acquiring or holding
+	// their write locks, by owner, until installed.
 	quasiWaiters map[txn.ID]*quasiWaiter
+	// applyRegs caches the labeled registry's per-(fragment, home)
+	// apply handles; nil until the first install with LabeledMetrics.
+	applyRegs map[metrics.Label]applyHandles
 
 	// apply is the sharded-apply scheduler; nil when Config.ApplyShards
 	// <= 1 (serial drain). Crash recovery replaces it wholesale.
@@ -509,26 +515,6 @@ func (n *Node) ingestQuasi(q txn.Quasi) {
 	default:
 		st.pending[q.Pos] = q
 		n.drainStream(q.Fragment, st)
-	}
-}
-
-// drainStream applies buffered quasi-transactions that are next in
-// order, as long as none parks on locks. With the sharded apply path
-// enabled, installation is handed to the fragment's apply shard
-// instead of happening inline.
-func (n *Node) drainStream(f fragments.FragmentID, st *streamState) {
-	if n.apply != nil {
-		n.dispatchShard(f, st)
-		return
-	}
-	for !st.applying {
-		next := st.last.Next()
-		q, ok := st.pending[next]
-		if !ok {
-			return
-		}
-		delete(st.pending, next)
-		n.applyQuasi(f, st, q)
 	}
 }
 

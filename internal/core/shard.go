@@ -12,26 +12,26 @@ import (
 	"fragdb/internal/txn"
 )
 
-// The sharded apply path (Config.ApplyShards > 1) replaces the serial
-// quasi-transaction drain with per-shard apply workers. Every fragment
-// hashes to one shard (the same mapping the sharded lock manager uses,
-// so a shard worker's lock acquisitions stay inside its own lock
-// shard), and each shard installs the contiguous pending runs of its
-// fragments independently: runs of disjoint fragments overlap in
-// virtual time, each run paying one combined lock acquisition and one
-// ApplyLatency installation window.
+// The shard driver of the apply engine (apply.go), enabled by
+// Config.ApplyShards > 1, replaces the inline drain with per-shard
+// apply workers. Every fragment hashes to one shard (the same mapping
+// the sharded lock manager uses, so a shard worker's lock acquisitions
+// stay inside its own lock shard), and each shard installs the
+// contiguous pending runs of its fragments independently: runs of
+// disjoint fragments overlap in virtual time, each run paying one
+// combined lock acquisition and one ApplyLatency installation window.
 //
-// Determinism contract: under netsim everything below runs on the
-// single-threaded scheduler. "Parallelism" is overlap of ApplyLatency
-// windows in virtual time, sequenced by the scheduler's (time, seq)
-// order; the only randomness is the pickup jitter drawn from a
-// dedicated per-node rand.Rand seeded from Config.Seed, so a given
-// seed always yields the same interleaving — chaos repros stay
-// byte-identical. Within one fragment, runs never overlap
-// (streamState.applying is the per-fragment latch), preserving the
-// paper's per-stream total order; across fragments no ordering is
-// promised, exactly the independence Section 4 grants disjoint
-// fragments.
+// Determinism contract: everything below runs on the node's
+// single-threaded scheduler (netsim's, or the rtnet.Loop goroutine in
+// deployment). "Parallelism" is overlap of ApplyLatency windows in
+// virtual time, sequenced by the scheduler's (time, seq) order; the
+// only randomness is the pickup jitter drawn from a dedicated per-node
+// rand.Rand seeded from Config.Seed, so a given seed always yields the
+// same interleaving — chaos repros stay byte-identical. Within one
+// fragment, runs never overlap (streamState.applying is the
+// per-fragment latch), preserving the paper's per-stream total order;
+// across fragments no ordering is promised, exactly the independence
+// Section 4 grants disjoint fragments.
 
 // applyShardState is one apply shard's dispatch slot: the fragments
 // with a dispatched run waiting for the shard, and whether the shard
@@ -138,15 +138,10 @@ func (n *Node) shardStep(as *applyState, si int) {
 			n.tr.Emit(trace.Event{Kind: trace.KShardApply, Txn: run[0].Txn,
 				Frag: f, Pos: run[0].Pos, Seq: uint64(si), Arg: int64(len(run))})
 		}
-		w := &quasiWaiter{q: run[0], f: f, st: st, ordered: true,
-			run: run, shardIdx: si, slotHeld: true,
-			remaining: make(map[fragments.ObjectID]bool)}
-		n.acquireRun(w)
-		if w.scheduled {
-			return // a wound-release granted the rest mid-acquisition
-		}
-		if len(w.remaining) == 0 {
-			n.scheduleInstall(as, w)
+		w := &quasiWaiter{f: f, st: st, ordered: true, run: run,
+			shard: as, shardIdx: si, slotHeld: true}
+		if n.acquireQuasi(w) {
+			n.quasiGranted(w)
 			return
 		}
 		w.slotHeld = false
@@ -166,114 +161,6 @@ func collectRun(st *streamState) []txn.Quasi {
 		}
 		run = append(run, q)
 		next = next.Next()
-	}
-}
-
-// runWriteObjects returns the union of the run's write sets in sorted
-// order — one combined lock acquisition per fragment per run.
-func runWriteObjects(run []txn.Quasi) []fragments.ObjectID {
-	seen := make(map[fragments.ObjectID]bool)
-	var out []fragments.ObjectID
-	for _, q := range run {
-		for _, wo := range q.Writes {
-			if !seen[wo.Object] {
-				seen[wo.Object] = true
-				out = append(out, wo.Object)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// acquireRun takes exclusive locks on the run's combined write set
-// under the run's group owner (the first quasi's transaction id),
-// wounding local holders on deadlock exactly like the serial path.
-// Objects still queued afterwards land in w.remaining; onGrants
-// schedules the installation when the last one arrives.
-func (n *Node) acquireRun(w *quasiWaiter) {
-	owner := w.q.Txn
-	if n.quasiWaiters == nil {
-		n.quasiWaiters = make(map[txn.ID]*quasiWaiter)
-	}
-	n.quasiWaiters[owner] = w
-	for _, o := range runWriteObjects(w.run) {
-		granted, err := n.locks.Acquire(owner, o, lock.Exclusive)
-		if err != nil {
-			n.woundHolders(o, owner)
-			granted, err = n.locks.Acquire(owner, o, lock.Exclusive)
-			if err != nil {
-				granted = false
-			}
-		}
-		if !granted {
-			w.remaining[o] = true
-		}
-	}
-}
-
-// scheduleInstall installs a fully granted run after the apply
-// latency. Idempotent per waiter: a wound-release inside acquireRun
-// can complete the grant set before the acquisition loop finishes, in
-// which case both onGrants and shardStep reach here.
-func (n *Node) scheduleInstall(as *applyState, w *quasiWaiter) {
-	if w.scheduled {
-		return
-	}
-	w.scheduled = true
-	n.cl.sched.After(n.cl.cfg.ApplyLatency, func() {
-		if n.apply != as {
-			return
-		}
-		n.installRun(as, w)
-	})
-}
-
-// installRun installs the run's quasi-transactions in stream order,
-// revalidating each against the live stream state: a snapshot merge or
-// epoch switch that advanced the stream while the run was in flight
-// simply makes the stale entries no-ops. Then it releases the group
-// owner's locks, unlatches the stream, and keeps the shard moving.
-func (n *Node) installRun(as *applyState, w *quasiWaiter) {
-	st := w.st
-	owner := w.q.Txn
-	var installed []txn.Quasi
-	for _, q := range w.run {
-		if q.Pos != st.last.Next() {
-			continue
-		}
-		if _, ok := st.pending[q.Pos]; !ok {
-			continue
-		}
-		delete(st.pending, q.Pos)
-		n.ensureCataloged(w.f, q.Writes)
-		n.store.ApplyQuasi(q)
-		st.last = q.Pos
-		st.appliedLog = append(st.appliedLog, q)
-		n.cl.stats.QuasiApplied.Add(1)
-		lag := n.cl.sched.Now().Sub(q.Stamp)
-		n.cl.stats.QuasiLag.Observe(lag)
-		n.cl.reg.IncApply(w.f, q.Home)
-		n.cl.reg.ObserveQuasiLag(w.f, q.Home, lag)
-		if n.tr.Enabled() {
-			n.tr.Emit(trace.Event{Kind: trace.KQuasiApply, Txn: q.Txn,
-				Frag: w.f, Pos: q.Pos, Peer: q.Home, HasPeer: true, Dur: lag})
-		}
-		installed = append(installed, q)
-	}
-	delete(n.quasiWaiters, owner)
-	grants := n.locks.Release(owner)
-	st.applying = false
-	n.onGrants(grants)
-	if n.cl.onQuasiApplied != nil {
-		for _, q := range installed {
-			n.cl.onQuasiApplied(n.id, q)
-		}
-	}
-	n.notifyStreamWaiters(st)
-	n.dispatchShard(w.f, st)
-	if w.slotHeld {
-		n.shardStep(as, w.shardIdx)
 	}
 }
 

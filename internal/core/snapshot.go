@@ -87,6 +87,9 @@ func (n *Node) captureSnap() (any, bool) {
 			Pending:  make(map[txn.FragPos]txn.Quasi, len(st.pending)),
 			Prepared: make(map[txn.ID]txn.Quasi, len(st.prepared)),
 		}
+		// An ordered quasi leaves st.pending only when installed, so
+		// this also ships runs still acquiring their locks or waiting
+		// out their apply window.
 		for p, q := range st.pending {
 			s.Pending[p] = q
 		}
@@ -106,18 +109,6 @@ func (n *Node) captureSnap() (any, bool) {
 				continue
 			}
 			s.Prepared[t.pendingQuasi.Txn] = t.pendingQuasi
-		}
-		// Quasi-transactions parked on write locks: drainStream has
-		// already pulled them out of st.pending, but installation waits
-		// on locks held by a local transaction, so they are not in the
-		// store either. Fold them back into the shipped pending buffer
-		// so the receiver, whose prefixes fast-forward past their
-		// delivery, still applies them.
-		for _, w := range n.quasiWaiters {
-			if !w.ordered || w.f != f {
-				continue
-			}
-			s.Pending[w.q.Pos] = w.q
 		}
 		snap.Streams[f] = s
 	}
@@ -141,7 +132,7 @@ func (n *Node) captureSnap() (any, bool) {
 		if w.ordered || !n.cl.IsCommutative(w.f) {
 			continue
 		}
-		snap.Applied[w.f] = append(snap.Applied[w.f], w.q)
+		snap.Applied[w.f] = append(snap.Applied[w.f], w.run[0])
 	}
 	if n.tr.Enabled() {
 		// Safe with the broadcaster's lock held: the recorder never calls

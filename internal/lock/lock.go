@@ -8,7 +8,8 @@
 // in FIFO order. A waits-for graph is maintained and checked on every
 // blocked acquisition; if granting the wait would close a cycle, the
 // request is denied with ErrDeadlock and the caller is expected to
-// abort the requesting transaction.
+// abort the requesting transaction. AcquirePriority skips that check
+// for requests that may not be refused.
 //
 // The manager is a passive, synchronous data structure: it never blocks
 // on callers and never spawns goroutines, so it composes with the
@@ -339,6 +340,21 @@ func queuedAhead(e *entry, id txn.ID, mode Mode) bool {
 // Exclusive upgrades in place when it is the only holder, otherwise the
 // upgrade queues (and is deadlock-checked) like any other request.
 func (m *Manager) Acquire(id txn.ID, o fragments.ObjectID, mode Mode) (bool, error) {
+	return m.acquire(id, o, mode, true)
+}
+
+// AcquirePriority is Acquire for a request that must never be refused:
+// a request that would wait is queued even when it closes a waits-for
+// cycle. It reports whether the lock was granted immediately. The
+// caller owns the cycle's resolution — the engine uses it for committed
+// quasi-transactions, which outrank local transactions (paper Section
+// 4) and whose cycle partners abort on their own (timeouts, wounds).
+func (m *Manager) AcquirePriority(id txn.ID, o fragments.ObjectID, mode Mode) bool {
+	granted, _ := m.acquire(id, o, mode, false)
+	return granted
+}
+
+func (m *Manager) acquire(id txn.ID, o fragments.ObjectID, mode Mode, checkDeadlock bool) (bool, error) {
 	si := m.ShardOf(o)
 	s := m.shards[si]
 	// Fast path: an immediate grant needs only the object's own shard.
@@ -356,7 +372,7 @@ func (m *Manager) Acquire(id txn.ID, o fragments.ObjectID, mode Mode) (bool, err
 		m.unlockAll()
 		return true, nil
 	}
-	if m.wouldDeadlockLocked(id, o, mode) {
+	if checkDeadlock && m.wouldDeadlockLocked(id, o, mode) {
 		m.unlockAll()
 		m.emit(traceRec{id, o, mode, TraceDeny})
 		return false, ErrDeadlock

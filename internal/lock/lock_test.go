@@ -125,6 +125,32 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestAcquirePriorityQueuesThroughCycle: the request Acquire refuses
+// for closing a cycle, AcquirePriority queues, and the cycle partner's
+// release grants it.
+func TestAcquirePriorityQueuesThroughCycle(t *testing.T) {
+	m := NewManager()
+	mustGrant(t, m, id(1), "a", Exclusive)
+	mustGrant(t, m, id(2), "b", Exclusive)
+	mustQueue(t, m, id(2), "a", Exclusive)
+	if _, err := m.Acquire(id(1), obj("b"), Exclusive); err != ErrDeadlock {
+		t.Fatalf("Acquire closing the cycle: err = %v, want ErrDeadlock", err)
+	}
+	if m.AcquirePriority(id(1), obj("b"), Exclusive) {
+		t.Fatal("AcquirePriority granted a held lock")
+	}
+	if !m.Waiting(id(1)) {
+		t.Fatal("AcquirePriority did not queue the request")
+	}
+	grants := m.Release(id(2))
+	if len(grants) != 1 || grants[0].Txn != id(1) || grants[0].Object != obj("b") {
+		t.Fatalf("grants = %+v, want id(1) on b", grants)
+	}
+	if !m.AcquirePriority(id(3), obj("c"), Shared) {
+		t.Error("AcquirePriority on a free object was not granted")
+	}
+}
+
 func TestThreeWayDeadlock(t *testing.T) {
 	m := NewManager()
 	mustGrant(t, m, id(1), "a", Exclusive)

@@ -339,23 +339,6 @@ func (r *Registry) IncRemoteDeny(f fragments.FragmentID, n netsim.NodeID) {
 	r.RemoteDenials.Inc(Label{f, n})
 }
 
-// IncApply counts one quasi-transaction installed for frag, labeled
-// with the originating home node.
-func (r *Registry) IncApply(f fragments.FragmentID, home netsim.NodeID) {
-	if r == nil {
-		return
-	}
-	r.Applies.Inc(Label{f, home})
-}
-
-// ObserveQuasiLag records a quasi-transaction's propagation lag.
-func (r *Registry) ObserveQuasiLag(f fragments.FragmentID, home netsim.NodeID, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.QuasiLag.Observe(Label{f, home}, d)
-}
-
 // IncForward counts one old-epoch quasi-transaction forwarded onward.
 func (r *Registry) IncForward(f fragments.FragmentID, n netsim.NodeID) {
 	if r == nil {

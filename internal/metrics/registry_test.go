@@ -87,8 +87,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	r.IncAbort("F", 0, "timeout")
 	r.IncLockWait("F", 0)
 	r.IncRemoteDeny("F", 0)
-	r.IncApply("F", 1)
-	r.ObserveQuasiLag("F", 1, time.Millisecond)
 	r.IncForward("F", 0)
 	r.IncDelivered(2)
 	r.SetFragInfo("F", FragInfo{Option: "read-locks"})

@@ -54,8 +54,8 @@ func debugFixture() DebugVars {
 	reg.IncAbort("BALANCES", 2, "timeout")
 	reg.IncLockWait("BALANCES", 1)
 	reg.IncRemoteDeny("BALANCES", 2)
-	reg.IncApply("CTR(1)", 1)
-	reg.ObserveQuasiLag("CTR(1)", 1, 12*time.Millisecond)
+	reg.Applies.Inc(metrics.Label{Frag: "CTR(1)", Node: 1})
+	reg.QuasiLag.Observe(metrics.Label{Frag: "CTR(1)", Node: 1}, 12*time.Millisecond)
 	reg.IncForward("CTR(1)", 1)
 	reg.IncDelivered(1)
 	reg.SetFragInfo("BALANCES", metrics.FragInfo{Option: "read-locks"})
