@@ -57,9 +57,7 @@ type Result struct {
 // emit records a movement-protocol event in a node's flight recorder
 // (a no-op when the cluster runs without tracing).
 func emit(cl *core.Cluster, node netsim.NodeID, e trace.Event) {
-	if tr := cl.Trace(node); tr.Enabled() {
-		tr.Emit(e)
-	}
+	cl.Trace(node).Emit(e)
 }
 
 // moveNote labels a movement event with its protocol and agent.

@@ -405,7 +405,11 @@ func New(node netsim.NodeID, tr netsim.Transport, timer Timer, cfg Config, h Han
 		digestSent: make(map[netsim.NodeID]map[netsim.NodeID]uint64),
 	}
 	if cfg.GossipInterval > 0 && timer != nil {
+		// Under mu like every later reschedule: a wall-clock timer may
+		// fire its first tick before this assignment completes.
+		b.mu.Lock()
 		b.scheduleGossip()
+		b.mu.Unlock()
 	}
 	return b
 }

@@ -50,14 +50,15 @@ func batchConfig(p Plan) (flush simtime.Duration, count int) {
 // plan (the bank forces its own option and topology).
 func bankClusterConfig(p Plan, opts RunOpts) core.Config {
 	cfg := core.Config{
-		N:             p.N,
-		Seed:          p.Seed,
-		Compaction:    p.Compaction,
-		CompactRetain: chaosCompactRetain,
-		LossProb:      p.LossProb,
-		TxnTimeout:    txnTimeout,
-		TraceCap:      opts.TraceCap,
-		ApplyShards:   p.ApplyShards,
+		N:              p.N,
+		Seed:           p.Seed,
+		Compaction:     p.Compaction,
+		CompactRetain:  chaosCompactRetain,
+		LossProb:       p.LossProb,
+		TxnTimeout:     txnTimeout,
+		TraceCap:       opts.TraceCap,
+		ApplyShards:    p.ApplyShards,
+		LabeledMetrics: opts.labeled,
 	}
 	cfg.BatchFlushDelay, cfg.BatchMaxCount = batchConfig(p)
 	return cfg
@@ -163,6 +164,10 @@ type RunOpts struct {
 	// capacity; if the audit fails, the trailing trace window of every
 	// node is dumped into Report.Trace for the repro bundle.
 	TraceCap int
+	// labeled arms the labeled metrics registry on every plan, not only
+	// placement plans; the sinks-agree sweep compares it with the
+	// counters.
+	labeled bool
 }
 
 // traceDumpTail is how many trailing events per node a failing audit
@@ -262,7 +267,7 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 		TxnTimeout:     txnTimeout,
 		TraceCap:       opts.TraceCap,
 		ApplyShards:    p.ApplyShards,
-		LabeledMetrics: p.Placement,
+		LabeledMetrics: p.Placement || opts.labeled,
 	}
 	cfg.BatchFlushDelay, cfg.BatchMaxCount = batchConfig(p)
 	cl := core.NewCluster(cfg)

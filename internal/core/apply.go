@@ -5,8 +5,6 @@ import (
 
 	"fragdb/internal/fragments"
 	"fragdb/internal/lock"
-	"fragdb/internal/metrics"
-	"fragdb/internal/netsim"
 	"fragdb/internal/trace"
 	"fragdb/internal/txn"
 )
@@ -152,11 +150,7 @@ func (n *Node) woundHolders(o fragments.ObjectID, requester txn.ID) {
 			continue
 		}
 		if t, ok := n.active[h]; ok {
-			n.cl.stats.Wounds.Add(1)
-			if n.tr.Enabled() {
-				n.tr.Emit(trace.Event{Kind: trace.KWound, Txn: h,
-					Other: requester, Obj: o})
-			}
+			n.note(trace.Event{Kind: trace.KWound, Txn: h, Other: requester, Obj: o})
 			n.abortBlocked(t, ErrWounded)
 			continue
 		}
@@ -212,18 +206,8 @@ func (n *Node) installQuasi(w *quasiWaiter) {
 			st.last = q.Pos
 		}
 		st.appliedLog = append(st.appliedLog, q)
-		n.cl.stats.QuasiApplied.Add(1)
-		lag := n.cl.sched.Now().Sub(q.Stamp)
-		n.cl.stats.QuasiLag.Observe(lag)
-		if n.cl.reg != nil {
-			h := n.applyHandlesFor(w.f, q.Home)
-			h.applies.Inc()
-			h.lag.Observe(lag)
-		}
-		if n.tr.Enabled() {
-			n.tr.Emit(trace.Event{Kind: trace.KQuasiApply, Txn: q.Txn,
-				Frag: w.f, Pos: q.Pos, Peer: q.Home, HasPeer: true, Dur: lag})
-		}
+		n.note(trace.Event{Kind: trace.KQuasiApply, Txn: q.Txn, Frag: w.f, Pos: q.Pos,
+			Peer: q.Home, HasPeer: true, Dur: n.cl.sched.Now().Sub(q.Stamp), Origin: q.Home})
 		installed = append(installed, q)
 	}
 	delete(n.quasiWaiters, owner)
@@ -244,30 +228,6 @@ func (n *Node) installQuasi(w *quasiWaiter) {
 	if w.slotHeld {
 		n.shardStep(w.shard, w.shardIdx)
 	}
-}
-
-// applyHandles are one label's registry cells, resolved once: per
-// quasi the install then pays one plain map lookup instead of two
-// sync.Map lookups.
-type applyHandles struct {
-	applies metrics.Counter
-	lag     *metrics.Histogram
-}
-
-// applyHandlesFor returns (memoizing) the registry handles for the
-// (fragment, origin home) label. Labels are O(fragments × nodes) and
-// the node runs single-threaded, so the cache is small and unlocked.
-func (n *Node) applyHandlesFor(f fragments.FragmentID, home netsim.NodeID) applyHandles {
-	l := metrics.Label{Frag: f, Node: home}
-	h, ok := n.applyRegs[l]
-	if !ok {
-		if n.applyRegs == nil {
-			n.applyRegs = make(map[metrics.Label]applyHandles)
-		}
-		h = applyHandles{applies: n.cl.reg.Applies.At(l), lag: n.cl.reg.QuasiLag.At(l)}
-		n.applyRegs[l] = h
-	}
-	return h
 }
 
 // ensureCataloged registers a quasi-transaction's write objects in this

@@ -21,7 +21,7 @@ import (
 // node must be the agent's home node (a user is "connected to at most
 // one node at a time", Section 3.1).
 func (n *Node) Submit(spec TxnSpec, done func(TxnResult)) {
-	n.cl.stats.Offered.Add(1)
+	n.note(trace.Event{Kind: trace.KOffer})
 	n.cl.sched.After(0, func() { n.startTxn(spec, done) })
 }
 
@@ -39,13 +39,8 @@ func (n *Node) origin(spec TxnSpec) netsim.NodeID {
 
 // reject refuses a submission before execution begins.
 func (n *Node) reject(spec TxnSpec, done func(TxnResult), err error) {
-	n.cl.stats.Rejected.Add(1)
-	n.cl.stats.Aborted.Add(1)
-	n.cl.reg.IncAbort(spec.Fragment, n.origin(spec), "rejected")
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KReject, Frag: spec.Fragment,
-			Err: err.Error(), Note: spec.Label})
-	}
+	n.note(trace.Event{Kind: trace.KReject, Frag: spec.Fragment, Err: err.Error(),
+		Note: spec.Label, Origin: n.origin(spec), Class: "rejected"})
 	if done != nil {
 		done(TxnResult{
 			Label: spec.Label, Err: err,
@@ -88,10 +83,7 @@ func (n *Node) startTxn(spec TxnSpec, done func(TxnResult)) {
 		done:         done,
 	}
 	n.active[t.id] = t
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KSubmit, Txn: t.id,
-			Frag: spec.Fragment, Note: spec.Label})
-	}
+	n.note(trace.Event{Kind: trace.KSubmit, Txn: t.id, Frag: spec.Fragment, Note: spec.Label})
 	timeout := spec.Timeout
 	if timeout == 0 {
 		timeout = n.cl.cfg.TxnTimeout
@@ -176,13 +168,7 @@ func (n *Node) handleRead(t *activeTxn, req request) bool {
 	// read it remotely at the agent's home node, whatever the option.
 	if !n.cl.IsReplica(frag, n.id) {
 		if home, ok := n.cl.tokens.HomeOfFragment(frag); ok && home != n.id {
-			n.cl.reg.IncRead(frag, n.origin(t.spec))
-			t.pendingRemote = &req
-			if n.tr.Enabled() {
-				n.tr.Emit(trace.Event{Kind: trace.KRemoteLockWait, Txn: t.id,
-					Obj: o, Peer: home, HasPeer: true})
-			}
-			n.cl.tr.Send(n.id, home, lockReqMsg{Txn: t.id, Object: o, From: n.id})
+			n.requestRemoteRead(t, req, home)
 			return false
 		}
 	}
@@ -199,19 +185,13 @@ func (n *Node) handleRead(t *activeTxn, req request) bool {
 	// the owning agent's home node and read the authoritative copy.
 	if opt == ReadLocks && foreign {
 		if home, ok := n.cl.tokens.HomeOfFragment(frag); ok && home != n.id {
-			n.cl.reg.IncRead(frag, n.origin(t.spec))
-			t.pendingRemote = &req
-			if n.tr.Enabled() {
-				n.tr.Emit(trace.Event{Kind: trace.KRemoteLockWait, Txn: t.id,
-					Obj: o, Peer: home, HasPeer: true})
-			}
-			n.cl.tr.Send(n.id, home, lockReqMsg{Txn: t.id, Object: o, From: n.id})
+			n.requestRemoteRead(t, req, home)
 			return false
 		}
 	}
 	granted, err := n.locks.Acquire(t.id, o, lock.Shared)
 	if err != nil {
-		n.cl.stats.Deadlocks.Add(1)
+		n.note(trace.Event{Kind: trace.KDeadlockAbort, Txn: t.id, Obj: o})
 		n.poison(t, ErrDeadlock)
 		return true
 	}
@@ -224,13 +204,19 @@ func (n *Node) handleRead(t *activeTxn, req request) bool {
 	return false
 }
 
+// requestRemoteRead parks t's read of req.obj on a read-lock request
+// to the agent's home node, which grants it with the authoritative
+// value (Section 4.1, and partial replication's remote reads).
+func (n *Node) requestRemoteRead(t *activeTxn, req request, home netsim.NodeID) {
+	t.pendingRemote = &req
+	n.note(trace.Event{Kind: trace.KRemoteLockWait, Txn: t.id, Obj: req.obj,
+		Peer: home, HasPeer: true, Origin: n.origin(t.spec)})
+	n.cl.tr.Send(n.id, home, lockReqMsg{Txn: t.id, Object: req.obj, From: n.id})
+}
+
 // finishRead delivers the read value after the per-operation latency.
 func (n *Node) finishRead(t *activeTxn, req request) {
-	if reg := n.cl.reg; reg != nil {
-		if f, ok := n.cl.cat.FragmentOf(req.obj); ok {
-			reg.IncRead(f, n.origin(t.spec))
-		}
-	}
+	n.note(trace.Event{Kind: trace.KRead, Txn: t.id, Obj: req.obj, Origin: n.origin(t.spec)})
 	n.cl.sched.After(n.cl.cfg.OpLatency, func() {
 		if t.finished {
 			t.respCh <- response{err: causeOf(t)}
@@ -275,7 +261,7 @@ func (n *Node) handleWrite(t *activeTxn, req request) bool {
 	}
 	granted, err := n.locks.Acquire(t.id, req.obj, lock.Exclusive)
 	if err != nil {
-		n.cl.stats.Deadlocks.Add(1)
+		n.note(trace.Event{Kind: trace.KDeadlockAbort, Txn: t.id, Obj: req.obj})
 		n.poison(t, ErrDeadlock)
 		return true
 	}
@@ -291,13 +277,7 @@ func (n *Node) handleWrite(t *activeTxn, req request) bool {
 // finishWrite buffers the write in the transaction workspace after the
 // per-operation latency.
 func (n *Node) finishWrite(t *activeTxn, req request) {
-	if reg := n.cl.reg; reg != nil {
-		f := t.spec.Fragment
-		if ff, ok := n.cl.cat.FragmentOf(req.obj); ok {
-			f = ff
-		}
-		reg.IncWrite(f, n.origin(t.spec))
-	}
+	n.note(trace.Event{Kind: trace.KWrite, Txn: t.id, Obj: req.obj, Origin: n.origin(t.spec)})
 	n.cl.sched.After(n.cl.cfg.OpLatency, func() {
 		if t.finished {
 			t.respCh <- response{err: causeOf(t)}
@@ -403,10 +383,7 @@ func (n *Node) commitLocal(t *activeTxn, q txn.Quasi, viaQuasi bool) {
 	})
 	n.finalize(t, nil, true)
 	if viaQuasi {
-		if n.tr.Enabled() {
-			n.tr.Emit(trace.Event{Kind: trace.KQuasiSend, Txn: t.id,
-				Frag: q.Fragment, Pos: q.Pos})
-		}
+		n.note(trace.Event{Kind: trace.KQuasiSend, Txn: t.id, Frag: q.Fragment, Pos: q.Pos})
 		n.bcast.Send(q)
 	} else {
 		n.bcast.Send(commitCmdMsg{Txn: t.id, Fragment: q.Fragment})
@@ -457,29 +434,17 @@ func (n *Node) finalize(t *activeTxn, err error, committed bool) {
 		n.cl.tr.Send(n.id, peer, lockReleaseMsg{Txn: t.id})
 	}
 	now := n.cl.sched.Now()
-	if committed {
-		n.cl.stats.Committed.Add(1)
-		n.cl.stats.CommitLatency.Observe(now.Sub(t.start))
-		n.cl.reg.IncCommit(t.spec.Fragment, n.origin(t.spec))
-		n.cl.reg.ObserveCommitLatency(t.spec.Fragment, n.origin(t.spec), now.Sub(t.start))
-		if n.cl.cfg.ApplyShards > 1 && n.txnSpansShards(t) {
-			n.cl.stats.CrossShardTxns.Add(1)
+	e := trace.Event{Kind: trace.KCommit, Txn: t.id, Frag: t.spec.Fragment,
+		Dur: now.Sub(t.start), Note: t.spec.Label, Origin: n.origin(t.spec)}
+	if !committed {
+		e.Kind, e.Class = trace.KAbort, abortCause(err)
+		if err != nil {
+			e.Err = err.Error()
 		}
-		if n.tr.Enabled() {
-			n.tr.Emit(trace.Event{Kind: trace.KCommit, Txn: t.id,
-				Frag: t.spec.Fragment, Dur: now.Sub(t.start), Note: t.spec.Label})
-		}
-	} else {
-		n.cl.stats.Aborted.Add(1)
-		n.cl.reg.IncAbort(t.spec.Fragment, n.origin(t.spec), abortCause(err))
-		if n.tr.Enabled() {
-			cause := ""
-			if err != nil {
-				cause = err.Error()
-			}
-			n.tr.Emit(trace.Event{Kind: trace.KAbort, Txn: t.id,
-				Frag: t.spec.Fragment, Dur: now.Sub(t.start), Err: cause, Note: t.spec.Label})
-		}
+	}
+	n.note(e)
+	if committed && n.cl.cfg.ApplyShards > 1 && n.txnSpansShards(t) {
+		n.note(trace.Event{Kind: trace.KCrossShard, Txn: t.id})
 	}
 	n.onGrants(grants)
 	if t.done != nil {
@@ -524,7 +489,7 @@ func (n *Node) timeoutTxn(t *activeTxn) {
 	if t.finalizedFlag {
 		return
 	}
-	n.cl.stats.TimedOut.Add(1)
+	n.note(trace.Event{Kind: trace.KTimeout, Txn: t.id})
 	n.abortBlocked(t, ErrTimeout)
 }
 

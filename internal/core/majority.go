@@ -29,10 +29,7 @@ func (n *Node) startMajority(t *activeTxn, q txn.Quasi) {
 	t.waitingMajority = true
 	t.pendingQuasi = q
 	t.acks = map[netsim.NodeID]bool{n.id: true}
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KMajorityPrepare, Txn: t.id,
-			Frag: q.Fragment, Pos: q.Pos})
-	}
+	n.note(trace.Event{Kind: trace.KMajorityPrepare, Txn: t.id, Frag: q.Fragment, Pos: q.Pos})
 	n.bcast.Send(prepareMsg{Q: q})
 	n.checkMajority(t)
 }
@@ -46,10 +43,8 @@ func (n *Node) handlePrepare(origin netsim.NodeID, m prepareMsg) {
 	}
 	st := n.stream(m.Q.Fragment)
 	st.prepared[m.Q.Txn] = m.Q
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KPrepareBuffered, Txn: m.Q.Txn,
-			Frag: m.Q.Fragment, Pos: m.Q.Pos, Peer: m.Q.Home, HasPeer: true})
-	}
+	n.note(trace.Event{Kind: trace.KPrepareBuffered, Txn: m.Q.Txn,
+		Frag: m.Q.Fragment, Pos: m.Q.Pos, Peer: m.Q.Home, HasPeer: true})
 	n.cl.tr.Send(n.id, m.Q.Home, ackMsg{Txn: m.Q.Txn, From: n.id})
 }
 
@@ -60,10 +55,8 @@ func (n *Node) handleAck(m ackMsg) {
 		return
 	}
 	t.acks[m.From] = true
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KMajorityAck, Txn: t.id,
-			Peer: m.From, HasPeer: true, Seq: uint64(len(t.acks))})
-	}
+	n.note(trace.Event{Kind: trace.KMajorityAck, Txn: t.id,
+		Peer: m.From, HasPeer: true, Seq: uint64(len(t.acks))})
 	n.checkMajority(t)
 }
 
@@ -104,8 +97,8 @@ func (n *Node) handleCommitCmd(m commitCmdMsg) {
 // gave up on assembling a majority.
 func (n *Node) handleAbortCmd(m abortCmdMsg) {
 	st := n.stream(m.Fragment)
-	if _, ok := st.prepared[m.Txn]; ok && n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KPreparedDrop, Txn: m.Txn, Frag: m.Fragment})
+	if _, ok := st.prepared[m.Txn]; ok {
+		n.note(trace.Event{Kind: trace.KPreparedDrop, Txn: m.Txn, Frag: m.Fragment})
 	}
 	delete(st.prepared, m.Txn)
 }

@@ -36,9 +36,7 @@ func (n *Node) SetMoveBlocked(f fragments.FragmentID, blocked bool) {
 func (n *Node) FenceMoving(f fragments.FragmentID) {
 	for _, t := range n.activeSnapshot() {
 		if t.spec.Fragment == f && !t.finalizedFlag {
-			if n.tr.Enabled() {
-				n.tr.Emit(trace.Event{Kind: trace.KMoveFence, Txn: t.id, Frag: f})
-			}
+			n.note(trace.Event{Kind: trace.KMoveFence, Txn: t.id, Frag: f})
 			n.abortBlocked(t, ErrAgentMoving)
 		}
 	}
@@ -51,9 +49,7 @@ func (n *Node) FenceMoving(f fragments.FragmentID) {
 // that the new home continues the single uninterrupted sequence.
 func (n *Node) InstallSnapshot(f fragments.FragmentID, snap map[fragments.ObjectID]storage.Version, pos txn.FragPos) {
 	st := n.stream(f)
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KMoveInstall, Frag: f, Pos: pos})
-	}
+	n.note(trace.Event{Kind: trace.KMoveInstall, Frag: f, Pos: pos})
 	n.store.InstallFragmentSnapshot(f, snap)
 	if st.last.Less(pos) {
 		st.last = pos
@@ -85,9 +81,7 @@ func (n *Node) BeginNoPrepEpoch(f fragments.FragmentID) {
 	st.oldInstalled = oldLast.Seq
 	st.last = txn.FragPos{Epoch: newEpoch, Seq: 0}
 	st.appliedLog = nil
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KMoveEpoch, Frag: f, Seq: newEpoch, Pos: oldLast})
-	}
+	n.note(trace.Event{Kind: trace.KMoveEpoch, Frag: f, Seq: newEpoch, Pos: oldLast})
 	n.bcast.Send(m0Msg{
 		Fragment: f, NewEpoch: newEpoch, OldLast: oldLast,
 		Installed: installed, NewHome: n.id,
@@ -124,11 +118,16 @@ func (n *Node) handleM0(m m0Msg) {
 
 // performSwitch moves the stream to the new epoch. If a
 // quasi-transaction is still parked on locks, the switch retries after
-// it installs (installQuasi notifies the stream's waiters).
+// it installs (installQuasi notifies the stream's waiters), and first
+// drains the rest of the old-epoch prefix: rule B(1) put it in pending,
+// and whatever is still there at the switch counts as a straggler.
 func (n *Node) performSwitch(f fragments.FragmentID, st *streamState, m m0Msg) {
 	if st.applying {
 		// Rare: wait for the in-flight installation, then switch.
-		st.waiters = append(st.waiters, func() { n.performSwitch(f, st, m) })
+		st.waiters = append(st.waiters, func() {
+			n.drainStream(f, st)
+			n.performSwitch(f, st, m)
+		})
 		return
 	}
 	if m.NewEpoch <= st.last.Epoch {
@@ -140,10 +139,8 @@ func (n *Node) performSwitch(f fragments.FragmentID, st *streamState, m m0Msg) {
 	st.oldInstalled = st.last.Seq
 	st.last = txn.FragPos{Epoch: m.NewEpoch, Seq: 0}
 	st.appliedLog = nil
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KEpochSwitch, Frag: f,
-			Seq: m.NewEpoch, Peer: m.NewHome, HasPeer: true})
-	}
+	n.note(trace.Event{Kind: trace.KEpochSwitch, Frag: f,
+		Seq: m.NewEpoch, Peer: m.NewHome, HasPeer: true})
 	// Old-epoch quasi-transactions buffered but never applied (gaps the
 	// prefix did not cover) become stragglers: forward them (rule B(2)).
 	var stale []txn.FragPos
@@ -157,11 +154,8 @@ func (n *Node) performSwitch(f fragments.FragmentID, st *streamState, m m0Msg) {
 		q := st.pending[p]
 		delete(st.pending, p)
 		if p.Epoch == st.oldEpoch && p.Seq > st.oldInstalled {
-			n.cl.stats.QuasiForwarded.Add(1)
-			if n.tr.Enabled() {
-				n.tr.Emit(trace.Event{Kind: trace.KQuasiForward, Txn: q.Txn,
-					Frag: f, Pos: p, Peer: m.NewHome, HasPeer: true})
-			}
+			n.note(trace.Event{Kind: trace.KQuasiForward, Txn: q.Txn, Frag: f,
+				Pos: p, Peer: m.NewHome, HasPeer: true, Origin: q.Home})
 			n.cl.tr.Send(n.id, m.NewHome, forwardMsg{Q: q})
 		}
 	}
@@ -202,16 +196,15 @@ func (n *Node) recoverMissing(f fragments.FragmentID, st *streamState, q txn.Qua
 			kept = append(kept, w)
 		}
 	}
-	n.cl.stats.MissingRecovered.Add(1)
 	ru := RecoveredUpdate{Fragment: f, Original: q, Kept: kept, Dropped: dropped}
-	if len(kept) > 0 {
+	if len(kept) == 0 {
+		n.note(trace.Event{Kind: trace.KRecoverDropped, Txn: q.Txn, Frag: f, Pos: q.Pos})
+	} else {
 		n.nextTxnSeq++
 		newID := txn.ID{Origin: n.id, Seq: n.nextTxnSeq}
 		ru.NewID = newID
-		if n.tr.Enabled() {
-			n.tr.Emit(trace.Event{Kind: trace.KRecover, Txn: q.Txn,
-				Other: newID, Frag: f, Pos: q.Pos, Arg: int64(len(kept))})
-		}
+		n.note(trace.Event{Kind: trace.KRecover, Txn: q.Txn,
+			Other: newID, Frag: f, Pos: q.Pos, Arg: int64(len(kept))})
 		pos := st.last.Next()
 		now := n.cl.sched.Now()
 		nq := txn.Quasi{Txn: newID, Fragment: f, Pos: pos, Home: n.id, Writes: kept, Stamp: now}

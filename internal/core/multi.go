@@ -10,6 +10,7 @@ import (
 	"fragdb/internal/lock"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
+	"fragdb/internal/trace"
 	"fragdb/internal/txn"
 )
 
@@ -99,7 +100,7 @@ type partKey struct {
 // mode); reads come from this node's local replicas. The transaction
 // commits only if every written fragment's agent home votes yes.
 func (n *Node) SubmitMulti(spec TxnSpec, done func(TxnResult)) {
-	n.cl.stats.Offered.Add(1)
+	n.note(trace.Event{Kind: trace.KOffer})
 	n.cl.sched.After(0, func() { n.startMultiTxn(spec, done) })
 }
 

@@ -7,7 +7,6 @@ import (
 	"fragdb/internal/broadcast"
 	"fragdb/internal/fragments"
 	"fragdb/internal/lock"
-	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
 	"fragdb/internal/storage"
@@ -180,8 +179,8 @@ type Node struct {
 	store *storage.Store
 	locks *lock.Manager
 	bcast *broadcast.Broadcaster
-	// tr is the node's flight recorder; nil when tracing is disabled
-	// (every emission site checks before constructing an event).
+	// tr is the node's flight recorder; nil when tracing is disabled.
+	// Only the instrumentation funnel (note.go) writes to it.
 	tr *trace.Recorder
 
 	nextTxnSeq uint64
@@ -191,9 +190,9 @@ type Node struct {
 	// quasiWaiters tracks quasi-transaction runs acquiring or holding
 	// their write locks, by owner, until installed.
 	quasiWaiters map[txn.ID]*quasiWaiter
-	// applyRegs caches the labeled registry's per-(fragment, home)
-	// apply handles; nil until the first install with LabeledMetrics.
-	applyRegs map[metrics.Label]applyHandles
+	// regCells caches the labeled registry cells the funnel feeds, per
+	// fact kind and label; nil until the first fact with LabeledMetrics.
+	regCells map[cellKey]regCells
 
 	// apply is the sharded-apply scheduler; nil when Config.ApplyShards
 	// <= 1 (serial drain). Crash recovery replaces it wholesale.
@@ -290,10 +289,10 @@ func newNode(cl *Cluster, id netsim.NodeID) *Node {
 	return n
 }
 
-// newLockManager builds the node's lock table and, when tracing is
-// enabled, installs the blocked-path observer that maps lock-manager
-// occurrences onto flight-recorder events. Crash recovery rebuilds the
-// table through the same constructor so the observer survives restarts.
+// newLockManager builds the node's lock table and installs the
+// blocked-path observer that reports lock-manager occurrences to the
+// instrumentation funnel. Crash recovery rebuilds the table through the
+// same constructor so the observer survives restarts.
 // With the sharded apply path enabled, the table is sharded by the
 // object's fragment — the same mapping the apply scheduler uses, so a
 // shard worker's acquisitions stay inside its own lock shard.
@@ -310,28 +309,15 @@ func (n *Node) newLockManager() *lock.Manager {
 	} else {
 		m = lock.NewManager()
 	}
-	if n.tr.Enabled() {
-		m.AddObserver(func(id txn.ID, o fragments.ObjectID, mode lock.Mode, ev lock.TraceEvent) {
-			kind := trace.KLockWait
-			switch ev {
-			case lock.TraceGrant:
-				kind = trace.KLockGrant
-			case lock.TraceDeny:
-				kind = trace.KLockDeadlock
-			}
-			n.tr.Emit(trace.Event{Kind: kind, Txn: id, Obj: o, Note: mode.String()})
-		})
-	}
-	if reg := n.cl.reg; reg != nil {
-		cl := n.cl
-		m.AddObserver(func(id txn.ID, o fragments.ObjectID, mode lock.Mode, ev lock.TraceEvent) {
-			if ev != lock.TraceWait {
-				return
-			}
-			if f, ok := cl.cat.FragmentOf(o); ok {
-				reg.IncLockWait(f, id.Origin)
-			}
-		})
+	m.OnEvent = func(id txn.ID, o fragments.ObjectID, mode lock.Mode, ev lock.TraceEvent) {
+		kind := trace.KLockWait
+		switch ev {
+		case lock.TraceGrant:
+			kind = trace.KLockGrant
+		case lock.TraceDeny:
+			kind = trace.KLockDeadlock
+		}
+		n.note(trace.Event{Kind: kind, Txn: id, Obj: o, Note: mode.String(), Origin: id.Origin})
 	}
 	return m
 }
@@ -527,12 +513,8 @@ func (n *Node) handleStraggler(st *streamState, q txn.Quasi) {
 	}
 	if st.forward && q.Pos.Epoch == st.oldEpoch && q.Pos.Seq > st.oldInstalled {
 		// Rule B(2): do not process; forward to the new home.
-		n.cl.stats.QuasiForwarded.Add(1)
-		n.cl.reg.IncForward(q.Fragment, q.Home)
-		if n.tr.Enabled() {
-			n.tr.Emit(trace.Event{Kind: trace.KQuasiForward, Txn: q.Txn,
-				Frag: q.Fragment, Pos: q.Pos, Peer: st.forwardTo, HasPeer: true})
-		}
+		n.note(trace.Event{Kind: trace.KQuasiForward, Txn: q.Txn, Frag: q.Fragment,
+			Pos: q.Pos, Peer: st.forwardTo, HasPeer: true, Origin: q.Home})
 		n.cl.tr.Send(n.id, st.forwardTo, forwardMsg{Q: q})
 	}
 	// Otherwise: duplicate of something installed before the switch.

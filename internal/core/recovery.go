@@ -35,9 +35,7 @@ var ErrCrashed = errors.New("core: node crashed")
 // window itself; messages sent to the node while down are lost and
 // recovered by anti-entropy afterwards.
 func (n *Node) SimulateCrashRestart() {
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KCrash, Arg: int64(len(n.active))})
-	}
+	n.note(trace.Event{Kind: trace.KCrash, Arg: int64(len(n.active))})
 	// Abort whatever was running.
 	for _, t := range n.activeSnapshot() {
 		n.abortBlocked(t, ErrCrashed)
@@ -125,9 +123,7 @@ func (n *Node) SimulateCrashRestart() {
 			n.handleBroadcast(o, base+uint64(i)+1, payload)
 		}
 	}
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KRestart})
-	}
+	n.note(trace.Event{Kind: trace.KRestart})
 }
 
 // activeSnapshot copies the active set in deterministic order (abort

@@ -29,11 +29,7 @@ import (
 func (n *Node) serveLockRequest(m lockReqMsg) {
 	granted, err := n.locks.Acquire(m.Txn, m.Object, lock.Shared)
 	if err != nil {
-		if reg := n.cl.reg; reg != nil {
-			if f, ok := n.cl.cat.FragmentOf(m.Object); ok {
-				reg.IncRemoteDeny(f, m.From)
-			}
-		}
+		n.note(trace.Event{Kind: trace.KRemoteLockRefuse, Txn: m.Txn, Obj: m.Object, Origin: m.From})
 		n.cl.tr.Send(n.id, m.From, lockDenyMsg{Txn: m.Txn, Object: m.Object})
 		return
 	}
@@ -69,10 +65,7 @@ func (n *Node) expireRemote(id txn.ID) {
 	if !ok {
 		return
 	}
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockExpire, Txn: id,
-			Peer: rh.from, HasPeer: true})
-	}
+	n.note(trace.Event{Kind: trace.KRemoteLockExpire, Txn: id, Peer: rh.from, HasPeer: true})
 	delete(n.remoteHeld, id)
 	n.onGrants(n.locks.Release(id))
 }
@@ -91,10 +84,8 @@ func (n *Node) handleLockGrant(m lockGrantMsg) {
 	}
 	t.pendingRemote = nil
 	t.remoteLocked[m.From] = true
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockGrant, Txn: m.Txn,
-			Obj: m.Object, Peer: m.From, HasPeer: true})
-	}
+	n.note(trace.Event{Kind: trace.KRemoteLockGrant, Txn: m.Txn,
+		Obj: m.Object, Peer: m.From, HasPeer: true})
 	obs := history.ReadObs{Object: m.Object}
 	if m.Known {
 		obs.FromTxn = m.Version.Txn
@@ -112,10 +103,7 @@ func (n *Node) handleLockDeny(m lockDenyMsg) {
 	if !ok || t.finalizedFlag || t.pendingRemote == nil || t.pendingRemote.obj != m.Object {
 		return
 	}
-	n.cl.stats.Deadlocks.Add(1)
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockDeny, Txn: m.Txn, Obj: m.Object})
-	}
+	n.note(trace.Event{Kind: trace.KRemoteLockDeny, Txn: m.Txn, Obj: m.Object})
 	t.pendingRemote = nil
 	t.poisoned = ErrRemoteDenied
 	t.respCh <- response{err: ErrRemoteDenied}

@@ -133,11 +133,9 @@ func (n *Node) shardStep(as *applyState, si int) {
 				busy++
 			}
 		}
-		n.cl.stats.ApplyParallelism.Observe(simtime.Duration(busy))
-		if n.tr.Enabled() {
-			n.tr.Emit(trace.Event{Kind: trace.KShardApply, Txn: run[0].Txn,
-				Frag: f, Pos: run[0].Pos, Seq: uint64(si), Arg: int64(len(run))})
-		}
+		n.note(trace.Event{Kind: trace.KApplyBusy, Arg: int64(busy)})
+		n.note(trace.Event{Kind: trace.KShardApply, Txn: run[0].Txn,
+			Frag: f, Pos: run[0].Pos, Seq: uint64(si), Arg: int64(len(run))})
 		w := &quasiWaiter{f: f, st: st, ordered: true, run: run,
 			shard: as, shardIdx: si, slotHeld: true}
 		if n.acquireQuasi(w) {

@@ -134,11 +134,9 @@ func (n *Node) captureSnap() (any, bool) {
 		}
 		snap.Applied[w.f] = append(snap.Applied[w.f], w.run[0])
 	}
-	if n.tr.Enabled() {
-		// Safe with the broadcaster's lock held: the recorder never calls
-		// out of its own mutex.
-		n.tr.Emit(trace.Event{Kind: trace.KSnapCapture, Arg: int64(len(snap.Vals))})
-	}
+	// Safe with the broadcaster's lock held: the funnel never calls out
+	// of its sinks.
+	n.note(trace.Event{Kind: trace.KSnapCapture, Arg: int64(len(snap.Vals))})
 	return snap, true
 }
 
@@ -153,14 +151,9 @@ func (n *Node) installSnap(state any, have, prev map[netsim.NodeID]uint64) {
 	if !ok {
 		return // offers from a Snapshotter-less peer only move prefixes
 	}
-	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KSnapInstall, Arg: int64(len(snap.Vals))})
-	}
+	n.note(trace.Event{Kind: trace.KSnapInstall, Arg: int64(len(snap.Vals))})
 	for _, t := range n.activeSnapshot() {
-		n.cl.stats.Wounds.Add(1)
-		if n.tr.Enabled() {
-			n.tr.Emit(trace.Event{Kind: trace.KWound, Txn: t.id, Note: "snapshot install"})
-		}
+		n.note(trace.Event{Kind: trace.KWound, Txn: t.id, Note: "snapshot install"})
 		n.abortBlocked(t, ErrWounded)
 	}
 	n.applySnap(snap, have, prev)

@@ -10,7 +10,6 @@ import (
 
 	"fragdb/internal/core"
 	"fragdb/internal/netsim"
-	"fragdb/internal/rtnet"
 	"fragdb/internal/workload"
 )
 
@@ -25,59 +24,49 @@ type clusterOutcome struct {
 	balances    int64
 }
 
-// buildCluster assembles n deployment nodes over the requested
-// transport kind ("loopback" or "tcp") and registers cleanup.
-func buildCluster(t *testing.T, n int, kind string) []*Node {
+// buildCluster assembles n deployment nodes over real TCP sockets on
+// ephemeral loopback ports and registers cleanup.
+func buildCluster(t *testing.T, n int) []*Node {
 	t.Helper()
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
 	nodes := make([]*Node, n)
-	switch kind {
-	case "loopback":
-		shared := rtnet.New(n, 2*time.Millisecond)
-		t.Cleanup(shared.Close)
-		addrs := make([]string, n)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("loopback-%d", i)
+	for i := 0; i < n; i++ {
+		nd, err := NewTCP(Config{ID: i, Addrs: addrs, Accounts: n, Seed: int64(i + 1), Listener: lns[i]})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
 		}
-		for i := 0; i < n; i++ {
-			nd, err := New(Config{ID: i, Addrs: addrs, Accounts: n, Seed: int64(i + 1)}, shared)
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-			nodes[i] = nd
-			t.Cleanup(nd.Close)
-		}
-	case "tcp":
-		lns := make([]net.Listener, n)
-		addrs := make([]string, n)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			lns[i] = ln
-			addrs[i] = ln.Addr().String()
-		}
-		for i := 0; i < n; i++ {
-			nd, err := NewTCP(Config{ID: i, Addrs: addrs, Accounts: n, Seed: int64(i + 1), Listener: lns[i]})
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-			nodes[i] = nd
-			t.Cleanup(nd.Close)
-		}
-	default:
-		t.Fatalf("unknown transport kind %q", kind)
+		nodes[i] = nd
+		t.Cleanup(nd.Close)
 	}
 	return nodes
 }
 
-// runScenario drives the identical workload against a fresh cluster
-// over the given transport kind and returns the converged outcome.
-func runScenario(t *testing.T, kind string) clusterOutcome {
+// Scenario shape: scenarioRounds rounds, each submitting one deposit,
+// one withdrawal, one counter bump and one enqueue at every one of
+// scenarioNodes nodes.
+const (
+	scenarioNodes    = 3
+	scenarioRounds   = 8
+	scenarioDeposit  = 50
+	scenarioWithdraw = 30
+)
+
+// runScenario drives the workload against a fresh TCP cluster and
+// returns the converged outcome.
+func runScenario(t *testing.T) clusterOutcome {
 	t.Helper()
-	const n = 3
-	const rounds = 8
-	nodes := buildCluster(t, n, kind)
+	const n = scenarioNodes
+	const rounds = scenarioRounds
+	nodes := buildCluster(t, n)
 
 	var wg sync.WaitGroup
 	var commits, deposits, withdrawals, bumps, enqueues atomic.Int64
@@ -99,8 +88,8 @@ func runScenario(t *testing.T, kind string) clusterOutcome {
 				op   Op
 				done func(core.TxnResult)
 			}{
-				{Op{Kind: "deposit", Account: acct, Amount: 50}, track(&deposits, 50)},
-				{Op{Kind: "withdraw", Account: acct, Amount: 30}, track(&withdrawals, 30)},
+				{Op{Kind: "deposit", Account: acct, Amount: scenarioDeposit}, track(&deposits, scenarioDeposit)},
+				{Op{Kind: "withdraw", Account: acct, Amount: scenarioWithdraw}, track(&withdrawals, scenarioWithdraw)},
 				{Op{Kind: "bump", Amount: 1}, track(&bumps, 1)},
 				{Op{Kind: "enqueue", Item: fmt.Sprintf("it-%d-%d", round, i)}, track(&enqueues, 1)},
 			}
@@ -117,7 +106,7 @@ func runScenario(t *testing.T, kind string) clusterOutcome {
 	select {
 	case <-waitDone:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("%s: operations did not finish in 30s", kind)
+		t.Fatal("operations did not finish in 30s")
 	}
 
 	// Poll until every replica has converged: the commutative totals
@@ -153,16 +142,11 @@ func runScenario(t *testing.T, kind string) clusterOutcome {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: replicas did not converge: %s", kind, lastErr)
+			t.Fatalf("replicas did not converge: %s", lastErr)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// With no faults and no overdrafts every submitted operation must
-	// commit — 4 ops per node per round.
-	if want := int64(rounds * n * 4); commits.Load() != want {
-		t.Fatalf("%s: %d/%d operations committed", kind, commits.Load(), want)
-	}
 	return clusterOutcome{
 		commits:     commits.Load(),
 		deposits:    deposits.Load(),
@@ -173,16 +157,24 @@ func runScenario(t *testing.T, kind string) clusterOutcome {
 	}
 }
 
-// TestLoopbackTCPEquivalence runs the same 3-node bank/counter/queue
-// workload once over the in-process loopback transport and once over
-// real TCP sockets (gob frames, reconnecting peers) and demands the
-// identical outcome: same commits, same converged totals. This is the
-// check that the TCP path — codec, framing, connection management,
-// loop-threaded delivery — preserves engine semantics exactly.
+// TestLoopbackTCPEquivalence runs the 3-node bank/counter/queue
+// workload over real TCP sockets on the loopback interface (wire
+// codec, framing, reconnecting peers, loop-threaded delivery) and
+// demands the outcome the workload fixes in advance, the one the
+// engine's semantics imply: with no faults and no overdrafts every
+// operation commits, and every replica converges to the totals.
 func TestLoopbackTCPEquivalence(t *testing.T) {
-	loop := runScenario(t, "loopback")
-	tcp := runScenario(t, "tcp")
-	if loop != tcp {
-		t.Fatalf("transports diverged:\n loopback: %+v\n tcp:      %+v", loop, tcp)
+	const ops = scenarioRounds * scenarioNodes
+	deposits, withdrawals := int64(ops*scenarioDeposit), int64(ops*scenarioWithdraw)
+	want := clusterOutcome{
+		commits:     4 * ops,
+		deposits:    deposits,
+		withdrawals: withdrawals,
+		counter:     ops,
+		queue:       ops,
+		balances:    scenarioNodes*1000 + deposits - withdrawals,
+	}
+	if got := runScenario(t); got != want {
+		t.Fatalf("TCP outcome diverged:\n got:  %+v\n want: %+v", got, want)
 	}
 }

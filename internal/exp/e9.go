@@ -59,21 +59,6 @@ func RunE9(seed int64) *Result {
 	return r
 }
 
-// RandomAudit runs trials randomized executions (random schema, random
-// read pattern — a forest when acyclic is true, arbitrary otherwise —
-// random update stream, random partition schedule) and audits each one.
-// It returns the number of committed transactions and the violation
-// counts found: global-serializability (checked only when acyclic),
-// fragmentwise-serializability, and mutual-consistency. cmd/hasim
-// exposes this as a standalone fuzzing tool.
-func RandomAudit(seed int64, trials int, acyclic bool) (committed uint64, gsgV, fwV, mcV int) {
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(seed + int64(trial)*7919))
-		committed += randomTrial(rng, acyclic, &gsgV, &fwV, &mcV, nil)
-	}
-	return committed, gsgV, fwV, mcV
-}
-
 // randomTrial builds one random cluster and workload. With acyclic set,
 // the declared read pattern is a random forest and reads stay within
 // it; otherwise reads are arbitrary. It returns the number of committed

@@ -146,30 +146,10 @@ type Manager struct {
 	owners map[txn.ID]uint64
 
 	// OnEvent, when non-nil, observes blocked-path occurrences (waits,
-	// deferred grants, deadlock denials). Installed by the engine when
-	// flight-recorder tracing is enabled; must not call back into the
-	// Manager. Events are emitted after internal mutexes are dropped.
+	// deferred grants, deadlock denials). The engine installs its
+	// instrumentation funnel here; must not call back into the Manager.
+	// Events are emitted after internal mutexes are dropped.
 	OnEvent func(id txn.ID, o fragments.ObjectID, mode Mode, ev TraceEvent)
-}
-
-// AddObserver chains fn after any observer already installed, so
-// independent consumers (flight-recorder tracing, labeled metrics) can
-// each watch blocked-path events without coordinating. Call before the
-// manager is shared across goroutines; fn obeys the OnEvent contract
-// (no callbacks into the Manager).
-func (m *Manager) AddObserver(fn func(id txn.ID, o fragments.ObjectID, mode Mode, ev TraceEvent)) {
-	if fn == nil {
-		return
-	}
-	prev := m.OnEvent
-	if prev == nil {
-		m.OnEvent = fn
-		return
-	}
-	m.OnEvent = func(id txn.ID, o fragments.ObjectID, mode Mode, ev TraceEvent) {
-		prev(id, o, mode, ev)
-		fn(id, o, mode, ev)
-	}
 }
 
 // NewManager returns an empty single-shard lock table — the exact

@@ -76,17 +76,10 @@ type CounterVec struct {
 type counterCell struct{ n atomic.Uint64 }
 
 // Inc adds one to the label's counter.
-func (c *CounterVec) Inc(l Label) { c.Add(l, 1) }
+func (c *CounterVec) Inc(l Label) { c.At(l).Inc() }
 
 // Add adds delta to the label's counter.
-func (c *CounterVec) Add(l Label, delta uint64) {
-	if cell, ok := c.m.Load(l); ok {
-		cell.(*counterCell).n.Add(delta)
-		return
-	}
-	cell, _ := c.m.LoadOrStore(l, &counterCell{})
-	cell.(*counterCell).n.Add(delta)
-}
+func (c *CounterVec) Add(l Label, delta uint64) { c.At(l).cell.n.Add(delta) }
 
 // Counter is a stable handle to one label's cell, for hot paths that
 // would otherwise pay the vector's sync.Map lookup (and the interface
@@ -149,14 +142,17 @@ type CauseVec struct {
 }
 
 // Inc adds one to the (label, cause) counter.
-func (c *CauseVec) Inc(l Label, cause string) {
+func (c *CauseVec) Inc(l Label, cause string) { c.At(l, cause).Inc() }
+
+// At returns a stable handle to the (label, cause) cell, creating it on
+// first use.
+func (c *CauseVec) At(l Label, cause string) Counter {
 	k := causeKey{l, cause}
-	if cell, ok := c.m.Load(k); ok {
-		cell.(*counterCell).n.Add(1)
-		return
+	cell, ok := c.m.Load(k)
+	if !ok {
+		cell, _ = c.m.LoadOrStore(k, &counterCell{})
 	}
-	cell, _ := c.m.LoadOrStore(k, &counterCell{})
-	cell.(*counterCell).n.Add(1)
+	return Counter{cell.(*counterCell)}
 }
 
 // Get returns the (label, cause) count.
@@ -199,14 +195,7 @@ type HistogramVec struct {
 }
 
 // Observe records one sample under the label.
-func (h *HistogramVec) Observe(l Label, d time.Duration) {
-	if hist, ok := h.m.Load(l); ok {
-		hist.(*Histogram).Observe(d)
-		return
-	}
-	hist, _ := h.m.LoadOrStore(l, &Histogram{})
-	hist.(*Histogram).Observe(d)
-}
+func (h *HistogramVec) Observe(l Label, d time.Duration) { h.At(l).Observe(d) }
 
 // At returns the label's histogram, creating it on first use — the
 // stable-handle counterpart of CounterVec.At for hot paths.
@@ -281,70 +270,6 @@ type Registry struct {
 // NewRegistry returns an empty labeled registry.
 func NewRegistry() *Registry {
 	return &Registry{frags: make(map[fragments.FragmentID]FragInfo)}
-}
-
-// IncRead counts one declared read of frag originating at node.
-func (r *Registry) IncRead(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
-	r.Reads.Inc(Label{f, n})
-}
-
-// IncWrite counts one declared write of frag originating at node.
-func (r *Registry) IncWrite(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
-	r.Writes.Inc(Label{f, n})
-}
-
-// IncCommit counts one committed transaction attributed to frag.
-func (r *Registry) IncCommit(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
-	r.Commits.Inc(Label{f, n})
-}
-
-// ObserveCommitLatency records a committed transaction's latency.
-func (r *Registry) ObserveCommitLatency(f fragments.FragmentID, n netsim.NodeID, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.CommitLatency.Observe(Label{f, n}, d)
-}
-
-// IncAbort counts one aborted transaction with its cause.
-func (r *Registry) IncAbort(f fragments.FragmentID, n netsim.NodeID, cause string) {
-	if r == nil {
-		return
-	}
-	r.Aborts.Inc(Label{f, n}, cause)
-}
-
-// IncLockWait counts one lock acquisition that queued behind a holder.
-func (r *Registry) IncLockWait(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
-	r.LockWaits.Inc(Label{f, n})
-}
-
-// IncRemoteDeny counts one remote lock request denied at the home.
-func (r *Registry) IncRemoteDeny(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
-	r.RemoteDenials.Inc(Label{f, n})
-}
-
-// IncForward counts one old-epoch quasi-transaction forwarded onward.
-func (r *Registry) IncForward(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
-	r.Forwards.Inc(Label{f, n})
 }
 
 // IncDelivered counts one broadcast payload delivered from origin.

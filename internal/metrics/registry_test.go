@@ -80,14 +80,6 @@ func TestHistogramVec(t *testing.T) {
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
 	// Every method must be a no-op on a nil receiver.
-	r.IncRead("F", 0)
-	r.IncWrite("F", 0)
-	r.IncCommit("F", 0)
-	r.ObserveCommitLatency("F", 0, time.Millisecond)
-	r.IncAbort("F", 0, "timeout")
-	r.IncLockWait("F", 0)
-	r.IncRemoteDeny("F", 0)
-	r.IncForward("F", 0)
 	r.IncDelivered(2)
 	r.SetFragInfo("F", FragInfo{Option: "read-locks"})
 	if got := r.FragInfos(); got != nil {
@@ -123,10 +115,10 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				l := labels[(g+i)%len(labels)]
-				r.IncRead(l.Frag, l.Node)
+				r.Reads.Inc(l)
 				r.Commits.Inc(l)
-				r.ObserveCommitLatency(l.Frag, l.Node, time.Duration(i)*time.Microsecond)
-				r.IncAbort(l.Frag, l.Node, "timeout")
+				r.CommitLatency.Observe(l, time.Duration(i)*time.Microsecond)
+				r.Aborts.At(l, "timeout").Inc()
 			}
 		}(g)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fragdb/internal/metrics"
+	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
 	"fragdb/internal/trace"
 )
@@ -46,17 +47,19 @@ func debugFixture() DebugVars {
 	tracers[1].Emit(trace.Event{Kind: trace.KCommit, Note: "second"})
 
 	reg := metrics.NewRegistry()
-	reg.IncRead("BALANCES", 1)
-	reg.IncRead("BALANCES", 1)
-	reg.IncWrite("BALANCES", 0)
-	reg.IncCommit("BALANCES", 0)
-	reg.ObserveCommitLatency("BALANCES", 0, 5*time.Millisecond)
-	reg.IncAbort("BALANCES", 2, "timeout")
-	reg.IncLockWait("BALANCES", 1)
-	reg.IncRemoteDeny("BALANCES", 2)
-	reg.Applies.Inc(metrics.Label{Frag: "CTR(1)", Node: 1})
-	reg.QuasiLag.Observe(metrics.Label{Frag: "CTR(1)", Node: 1}, 12*time.Millisecond)
-	reg.IncForward("CTR(1)", 1)
+	bal := func(node netsim.NodeID) metrics.Label { return metrics.Label{Frag: "BALANCES", Node: node} }
+	ctr := metrics.Label{Frag: "CTR(1)", Node: 1}
+	reg.Reads.Inc(bal(1))
+	reg.Reads.Inc(bal(1))
+	reg.Writes.Inc(bal(0))
+	reg.Commits.Inc(bal(0))
+	reg.CommitLatency.Observe(bal(0), 5*time.Millisecond)
+	reg.Aborts.Inc(bal(2), "timeout")
+	reg.LockWaits.Inc(bal(1))
+	reg.RemoteDenials.Inc(bal(2))
+	reg.Applies.Inc(ctr)
+	reg.QuasiLag.Observe(ctr, 12*time.Millisecond)
+	reg.Forwards.Inc(ctr)
 	reg.IncDelivered(1)
 	reg.SetFragInfo("BALANCES", metrics.FragInfo{Option: "read-locks"})
 	reg.SetFragInfo("CTR(1)", metrics.FragInfo{Option: "unrestricted", Commutative: true})

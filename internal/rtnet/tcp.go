@@ -1,3 +1,13 @@
+// Package rtnet runs the engine in wall-clock time, as real processes:
+// TCP is the framed transport between node processes (the same
+// netsim.Transport contract the simulator implements), Loop paces the
+// engine's virtual-time scheduler by the wall clock and threads
+// transport deliveries onto it (ExecTransport), and the debug HTTP
+// handler exposes counters, labeled metrics and trace tails.
+//
+// The deterministic simulator remains the reference environment for
+// experiments and tests; rtnet is its deployment counterpart, and the
+// only transport besides netsim.
 package rtnet
 
 import (

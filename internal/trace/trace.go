@@ -10,8 +10,14 @@
 // violates an invariant, the trailing window of every node's recorder
 // is a readable causal timeline of how the violation was produced.
 // Recording is off by default; a nil *Recorder is a valid, inert
-// recorder, and callers guard emission sites with Enabled checks so the
-// disabled hot path costs a nil comparison and nothing else.
+// recorder, so the disabled path costs a nil comparison and nothing
+// else.
+//
+// Kind is also the vocabulary of the engine's one instrumentation path:
+// core reports every fact once, as an Event, and a routing table keyed
+// by Kind decides whether it feeds the fixed counters, the labeled
+// metrics registry and this ring. A few kinds are accounting-only facts
+// the routing table never records here.
 //
 // The package sits below the engine: it may import only the leaf
 // vocabulary packages (fragments, netsim, simtime, txn), so every other
@@ -155,6 +161,19 @@ const (
 	// and Arg the run length.
 	KShardApply
 
+	// Accounting-only facts (core): the routing table sends these to the
+	// counters and the labeled registry, never to the ring.
+
+	KOffer            // a transaction was submitted (before validation)
+	KRead             // a declared read was granted locally; Obj is the object
+	KWrite            // a declared write was granted; Obj is the object
+	KDeadlockAbort    // deadlock detection refused a local read or write lock
+	KTimeout          // a blocked transaction reached its timeout
+	KRemoteLockRefuse // serving a remote read-lock request, this node refused it
+	KCrossShard       // a commit's declared access set spanned apply shards
+	KApplyBusy        // an apply shard picked up a run while Arg shards were busy
+	KRecoverDropped   // a missing transaction's writes were all overwritten (rule A(2))
+
 	kindCount // number of kinds; keep last
 )
 
@@ -198,7 +217,20 @@ var kindNames = [kindCount]string{
 	KMoveFail:         "move-fail",
 	KElect:            "elect",
 	KShardApply:       "shard-apply",
+	KOffer:            "offer",
+	KRead:             "read",
+	KWrite:            "write",
+	KDeadlockAbort:    "deadlock-abort",
+	KTimeout:          "timeout",
+	KRemoteLockRefuse: "remote-lock-refuse",
+	KCrossShard:       "cross-shard",
+	KApplyBusy:        "apply-busy",
+	KRecoverDropped:   "recover-dropped",
 }
+
+// NumKinds is the number of kinds (KNone included), for tables indexed
+// by Kind outside this package.
+const NumKinds = int(kindCount)
 
 // String returns the kind's compact name.
 func (k Kind) String() string {
@@ -287,6 +319,12 @@ type Event struct {
 	Err string `json:"err,omitempty"`
 	// Note is freeform context (transaction label, move protocol).
 	Note string `json:"note,omitempty"`
+
+	// Origin and Class are accounting context for the labeled metrics
+	// registry and are never recorded (Emit clears them): Origin is the
+	// node a fact is charged to, Class an abort's cause label.
+	Origin netsim.NodeID `json:"-"`
+	Class  string        `json:"-"`
 }
 
 // String renders the event as one compact timeline line.
@@ -368,15 +406,15 @@ func (r *Recorder) Node() netsim.NodeID {
 	return r.node
 }
 
-// Emit records the event, stamping its time and node. Nil-safe: a
-// disabled recorder drops it. Callers on hot paths should still guard
-// with Enabled to skip constructing the Event at all.
+// Emit records the event, stamping its time and node and clearing its
+// accounting context. Nil-safe: a disabled recorder drops it.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
 	e.T = r.now()
 	e.Node = r.node
+	e.Origin, e.Class = 0, ""
 	r.mu.Lock()
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)

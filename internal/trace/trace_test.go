@@ -55,6 +55,21 @@ func TestEmitStampsAndOrders(t *testing.T) {
 	}
 }
 
+// TestEmitClearsAccounting: the registry's accounting context never
+// reaches the ring, so recorded events (and their JSON) are the same
+// whether or not a fact carried it.
+func TestEmitClearsAccounting(t *testing.T) {
+	r := NewRecorder(0, 2, fixedClock())
+	r.Emit(Event{Kind: KAbort, Err: "timed out", Origin: 3, Class: "timeout"})
+	e := r.Tail(1)[0]
+	if e.Origin != 0 || e.Class != "" {
+		t.Errorf("recorded accounting context: origin=%d class=%q", e.Origin, e.Class)
+	}
+	if e.Err != "timed out" {
+		t.Errorf("Err = %q, want it kept", e.Err)
+	}
+}
+
 func TestRingWraparound(t *testing.T) {
 	r := NewRecorder(0, 4, fixedClock())
 	for i := 1; i <= 10; i++ {
