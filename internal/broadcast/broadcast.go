@@ -40,6 +40,7 @@
 package broadcast
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -126,6 +127,10 @@ type Timer interface {
 	// AfterFunc arranges for fn to run after roughly d. The returned
 	// function cancels the callback if it has not fired.
 	AfterFunc(d int64, fn func()) (cancel func())
+	// Every arranges for fn to run every d, first after d, until the
+	// returned function is called. The gossip round runs on it, so a
+	// round re-arms without allocating.
+	Every(d int64, fn func()) (cancel func())
 }
 
 // Tuning defaults, applied when the corresponding Config field is zero.
@@ -332,8 +337,18 @@ type Broadcaster struct {
 	mu      sync.Mutex
 	nextSeq uint64 // last seq assigned to our own stream
 
-	// logs[o] is origin o's retained stream.
-	logs map[netsim.NodeID]*stream
+	// logs[o] is origin o's retained stream; origins lists its keys in
+	// ascending order (kept sorted as streams are created), the order
+	// repair and compaction walk streams in.
+	logs    map[netsim.NodeID]*stream
+	origins []netsim.NodeID
+	// version counts changes to the prefix vector: an entry appended, a
+	// stream created, a snapshot installed. full is the boxed full
+	// Digest built at fullVersion, shared by every peer and round until
+	// the vector changes.
+	version     uint64
+	full        any
+	fullVersion uint64
 	// pending[o] buffers out-of-order messages: seq -> payload.
 	pending map[netsim.NodeID]map[uint64]any
 	// delivered[o] is the highest seq the handler has processed (or a
@@ -351,10 +366,11 @@ type Broadcaster struct {
 	offeredAt map[netsim.NodeID]uint64
 	round     uint64
 
-	// digestSent[p] is the prefix vector last advertised to peer p,
-	// updated in place each round; delta digests omit streams unchanged
-	// against it.
-	digestSent map[netsim.NodeID]map[netsim.NodeID]uint64
+	// digestSent[p] is the prefix vector last advertised to peer p;
+	// delta digests omit streams unchanged against it.
+	digestSent map[netsim.NodeID]*sentView
+	// live is compactLocked's scratch list of live peers.
+	live []netsim.NodeID
 
 	// batch buffers this node's own payloads awaiting a coalesced push:
 	// batch[i] has seq batchStart+i, batchBytes their measured size.
@@ -377,6 +393,18 @@ type Broadcaster struct {
 	stopGossip func()
 	stopped    bool
 }
+
+// sentView is the prefix vector last advertised to one peer, as of
+// Broadcaster.version; it is rewritten only when the version moved.
+type sentView struct {
+	have    map[netsim.NodeID]uint64
+	version uint64
+}
+
+// quietDigest is the delta digest of a round in which no prefix
+// changed: a liveness heartbeat with nothing to merge. It is boxed once
+// and shared; receivers only read a digest.
+var quietDigest any = Digest{Delta: true}
 
 // outMsg is one queued outbound transport message.
 type outMsg struct {
@@ -402,13 +430,13 @@ func New(node netsim.NodeID, tr netsim.Transport, timer Timer, cfg Config, h Han
 		peerSeen:  make(map[netsim.NodeID]uint64),
 		offeredAt: make(map[netsim.NodeID]uint64),
 
-		digestSent: make(map[netsim.NodeID]map[netsim.NodeID]uint64),
+		digestSent: make(map[netsim.NodeID]*sentView),
 	}
 	if cfg.GossipInterval > 0 && timer != nil {
-		// Under mu like every later reschedule: a wall-clock timer may
-		// fire its first tick before this assignment completes.
+		// Under mu: a wall-clock timer may fire its first tick before
+		// this assignment completes.
 		b.mu.Lock()
-		b.scheduleGossip()
+		b.stopGossip = b.timer.Every(cfg.GossipInterval, b.gossipTick)
 		b.mu.Unlock()
 	}
 	return b
@@ -433,10 +461,8 @@ func (b *Broadcaster) Stop() {
 	}
 }
 
-func (b *Broadcaster) scheduleGossip() {
-	b.stopGossip = b.timer.AfterFunc(b.cfg.GossipInterval, b.gossipTick)
-}
-
+// gossipTick is one periodic gossip round; the timer has already
+// re-armed the next one.
 func (b *Broadcaster) gossipTick() {
 	b.mu.Lock()
 	if b.stopped {
@@ -444,7 +470,6 @@ func (b *Broadcaster) gossipTick() {
 		return
 	}
 	b.gossipLocked()
-	b.scheduleGossip()
 	out := b.takeOutbox()
 	b.mu.Unlock()
 	b.post(out)
@@ -456,6 +481,9 @@ func (b *Broadcaster) stream(origin netsim.NodeID) *stream {
 	if !ok {
 		s = &stream{}
 		b.logs[origin] = s
+		i, _ := slices.BinarySearch(b.origins, origin)
+		b.origins = slices.Insert(b.origins, i, origin)
+		b.version++ // a new stream advertises prefix 0
 	}
 	return s
 }
@@ -495,12 +523,22 @@ func (b *Broadcaster) takeOutbox() []outMsg {
 	return out
 }
 
-// post ships detached outbound messages in queue order. The caller must
-// NOT hold mu: the transport may block.
+// post ships detached outbound messages in queue order, then hands the
+// buffer back for the next takeOutbox unless a re-entrant caller already
+// left one there. The caller must NOT hold mu: the transport may block.
 func (b *Broadcaster) post(out []outMsg) {
+	if cap(out) == 0 {
+		return
+	}
 	for _, m := range out {
 		b.tr.Send(b.node, m.to, m.msg)
 	}
+	clear(out)
+	b.mu.Lock()
+	if b.outbox == nil {
+		b.outbox = out[:0]
+	}
+	b.mu.Unlock()
 }
 
 // sendData queues one Data or DataBatch message carrying n payloads to a
@@ -590,6 +628,7 @@ func (b *Broadcaster) flushLocked() {
 func (b *Broadcaster) appendEntry(origin netsim.NodeID, payload any) {
 	s := b.stream(origin)
 	s.entries = append(s.entries, payload)
+	b.version++
 	seq := s.prefix()
 	b.deliverQ = append(b.deliverQ, delivery{origin: origin, seq: seq, payload: payload})
 	if m := b.cfg.Metrics; m != nil {
@@ -739,45 +778,71 @@ func (b *Broadcaster) gossipLocked() {
 	}
 	// Every fullDigestRounds-th round sends the complete prefix vector;
 	// in between, each peer gets only the streams that changed since the
-	// digest it last received (often an empty map, which still serves as
-	// the liveness heartbeat for the compaction watermark). The full
-	// vector is built once and shared across peers — in-flight messages
-	// alias it, so it is never mutated after this round.
+	// digest it last received. A round in which nothing changed sends the
+	// shared quiet digest, which still serves as the liveness heartbeat
+	// for the compaction watermark, and allocates nothing. In-flight
+	// messages alias every sent vector, so none is mutated after it
+	// ships.
 	full := b.round%b.cfg.fullDigestRounds() == 0
-	var fullHave map[netsim.NodeID]uint64
 	for p := 0; p < b.tr.N(); p++ {
 		id := netsim.NodeID(p)
 		if id == b.node {
 			continue
 		}
 		sent := b.digestSent[id]
-		var d Digest
-		if sent == nil || full {
-			if fullHave == nil {
-				fullHave = make(map[netsim.NodeID]uint64, len(b.logs))
-				for o, s := range b.logs {
-					fullHave[o] = s.prefix()
-				}
-			}
-			d = Digest{Have: fullHave}
-		} else {
-			delta := make(map[netsim.NodeID]uint64)
-			for o, s := range b.logs {
-				if pf := s.prefix(); sent[o] != pf {
-					delta[o] = pf
-				}
-			}
-			d = Digest{Have: delta, Delta: true}
+		switch {
+		case sent == nil || full:
+			b.queueSend(id, b.fullDigest())
+		case sent.version == b.version:
+			b.queueSend(id, quietDigest)
+		default:
+			b.queueSend(id, b.deltaDigest(sent.have))
 		}
-		b.queueSend(id, d)
 		if sent == nil {
-			sent = make(map[netsim.NodeID]uint64, len(b.logs))
+			sent = &sentView{have: make(map[netsim.NodeID]uint64, len(b.logs))}
 			b.digestSent[id] = sent
+		} else if sent.version == b.version {
+			continue
 		}
-		for o, s := range b.logs {
-			sent[o] = s.prefix()
+		for _, o := range b.origins {
+			sent.have[o] = b.logs[o].prefix()
+		}
+		sent.version = b.version
+	}
+}
+
+// fullDigest returns the boxed full digest of the current prefix
+// vector, rebuilding it only when the vector changed since the last
+// build. Caller holds mu.
+func (b *Broadcaster) fullDigest() any {
+	if b.full == nil || b.fullVersion != b.version {
+		have := make(map[netsim.NodeID]uint64, len(b.origins))
+		for _, o := range b.origins {
+			have[o] = b.logs[o].prefix()
+		}
+		b.full = Digest{Have: have}
+		b.fullVersion = b.version
+	}
+	return b.full
+}
+
+// deltaDigest returns the delta digest against a peer's last advertised
+// vector: the streams whose prefix moved, or the quiet digest when none
+// did. Caller holds mu.
+func (b *Broadcaster) deltaDigest(sent map[netsim.NodeID]uint64) any {
+	var delta map[netsim.NodeID]uint64
+	for _, o := range b.origins {
+		if pf := b.logs[o].prefix(); sent[o] != pf {
+			if delta == nil {
+				delta = make(map[netsim.NodeID]uint64)
+			}
+			delta[o] = pf
 		}
 	}
+	if delta == nil {
+		return quietDigest
+	}
+	return Digest{Have: delta, Delta: true}
 }
 
 // compactLocked truncates every stream below its stable watermark: the
@@ -790,7 +855,7 @@ func (b *Broadcaster) gossipLocked() {
 func (b *Broadcaster) compactLocked() {
 	liveRounds := b.cfg.peerLiveRounds()
 	retain := b.cfg.compactRetain()
-	var live []netsim.NodeID
+	live := b.live[:0]
 	for p := 0; p < b.tr.N(); p++ {
 		id := netsim.NodeID(p)
 		if id == b.node {
@@ -800,14 +865,10 @@ func (b *Broadcaster) compactLocked() {
 			live = append(live, id)
 		}
 	}
+	b.live = live
 	// Sorted origins: compaction order decides the trace-event order, and
 	// the flight recorder must be byte-identical under a fixed seed.
-	origins := make([]netsim.NodeID, 0, len(b.logs))
-	for o := range b.logs {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, o := range origins {
+	for _, o := range b.origins {
 		s := b.logs[o]
 		if len(s.entries) == 0 {
 			continue
@@ -969,13 +1030,8 @@ func (b *Broadcaster) repair(from netsim.NodeID, d Digest) {
 	}
 	b.peerSeen[from] = b.round
 
-	origins := make([]netsim.NodeID, 0, len(b.logs))
-	for o := range b.logs {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
 	behind := false
-	for _, o := range origins {
+	for _, o := range b.origins {
 		s := b.logs[o]
 		theirs := have[o]
 		if theirs < s.base {
@@ -1091,6 +1147,7 @@ func (b *Broadcaster) installOffer(m SnapshotOffer) {
 		}
 		s.base = h
 		s.entries = nil
+		b.version++
 		if b.delivered[o] < h {
 			b.delivered[o] = h
 		}

@@ -287,3 +287,45 @@ func TestPropertyEventualDeliveryUnderPartitions(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSentDigestsImmutable: every full digest a node ships is shared by
+// all peers and later rounds until the prefix vector changes, so no
+// later Send or gossip round may mutate one after it ships.
+func TestSentDigestsImmutable(t *testing.T) {
+	r := newRig(t, 3, Config{GossipInterval: int64(10 * time.Millisecond), FullDigestRounds: 2}, 1)
+	defer r.stopAll()
+	type capture struct {
+		have map[netsim.NodeID]uint64
+		want string
+	}
+	var full []capture
+	for i := range r.bs {
+		i := i
+		r.net.SetHandler(netsim.NodeID(i), func(from netsim.NodeID, payload any) {
+			if d, ok := payload.(Digest); ok && !d.Delta {
+				full = append(full, capture{have: d.Have, want: fmt.Sprint(d.Have)})
+			}
+			r.bs[i].HandleMessage(from, payload)
+		})
+	}
+	for i := 0; i < 10; i++ {
+		r.bs[i%3].Send(i)
+		r.sched.RunFor(15 * time.Millisecond)
+	}
+	r.sched.RunFor(200 * time.Millisecond)
+	if len(full) < 10 {
+		t.Fatalf("captured %d full digests, too few to test", len(full))
+	}
+	changed := false
+	for i, c := range full {
+		if got := fmt.Sprint(c.have); got != c.want {
+			t.Errorf("full digest %d changed after it shipped: %s, was %s", i, got, c.want)
+		}
+		if i > 0 && c.want != full[0].want {
+			changed = true
+		}
+	}
+	if !changed {
+		t.Fatal("every captured digest advertised the same vector; the sends never moved a prefix")
+	}
+}

@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
@@ -524,8 +525,10 @@ func (m *Manager) Release(id txn.ID) []Grant {
 		delete(s.waiting, id)
 	}
 	// Collect held objects across the involved shards and release in
-	// global sorted order.
-	var objs []fragments.ObjectID
+	// global sorted order. The fixed buffer holds every write set the
+	// workloads produce without a heap allocation; larger ones spill.
+	var buf [16]fragments.ObjectID
+	objs := buf[:0]
 	for i := 0; i < len(m.shards); i++ {
 		if mask&(1<<uint(i)) == 0 {
 			continue
@@ -536,7 +539,7 @@ func (m *Manager) Release(id txn.ID) []Grant {
 		}
 		delete(s.held, id)
 	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	slices.Sort(objs)
 	var grants []Grant
 	var events []traceRec
 	for _, o := range objs {

@@ -138,7 +138,26 @@ type Network struct {
 	down     []bool   // node crashed
 	lossProb float64  // per-message random drop probability
 
+	free  []*inflight // recycled in-flight records
 	stats Stats
+}
+
+// inflight is one message between Send and its delivery. Send posts it
+// to the scheduler as a recycled event; it returns itself to the
+// network's free list when it runs, delivered or dropped.
+type inflight struct {
+	nw       *Network
+	from, to NodeID
+	payload  any
+}
+
+// Run delivers the message. The record goes back to the free list
+// first, so sends made by the handler reuse it.
+func (m *inflight) Run() {
+	nw, from, to, payload := m.nw, m.from, m.to, m.payload
+	m.payload = nil
+	nw.free = append(nw.free, m)
+	nw.deliver(from, to, payload)
 }
 
 // New creates a simulated network of n nodes on the given scheduler.
@@ -207,28 +226,38 @@ func (nw *Network) Send(from, to NodeID, payload any) {
 		nw.stats.DroppedLoss++
 		return
 	}
-	deliver := func() {
-		if nw.down[to] {
-			nw.stats.DroppedNode++
-			return
-		}
-		h := nw.handlers[to]
-		if h == nil {
-			nw.stats.DroppedNode++
-			return
-		}
-		nw.stats.Delivered++
-		if nw.sizeOf != nil {
-			nw.stats.Bytes += uint64(nw.sizeOf(payload))
-		}
-		h(from, payload)
+	var d simtime.Duration
+	if from != to {
+		d = max(nw.latency(from, to, nw.sched.Rand()), 0)
 	}
-	if from == to {
-		nw.sched.After(0, deliver)
+	var m *inflight
+	if n := len(nw.free); n > 0 {
+		m = nw.free[n-1]
+		nw.free = nw.free[:n-1]
+	} else {
+		m = &inflight{nw: nw}
+	}
+	m.from, m.to, m.payload = from, to, payload
+	nw.sched.Post(nw.sched.Now().Add(d), m)
+}
+
+// deliver hands an arrived message to its destination's handler, or
+// drops it if the destination crashed while it was in flight.
+func (nw *Network) deliver(from, to NodeID, payload any) {
+	if nw.down[to] {
+		nw.stats.DroppedNode++
 		return
 	}
-	d := nw.latency(from, to, nw.sched.Rand())
-	nw.sched.After(d, deliver)
+	h := nw.handlers[to]
+	if h == nil {
+		nw.stats.DroppedNode++
+		return
+	}
+	nw.stats.Delivered++
+	if nw.sizeOf != nil {
+		nw.stats.Bytes += uint64(nw.sizeOf(payload))
+	}
+	h(from, payload)
 }
 
 // SetLink severs (up=false) or restores (up=true) the direct link a-b.

@@ -362,3 +362,40 @@ func TestWithLossDropsApproximatelyP(t *testing.T) {
 		t.Errorf("self-sends lost: %d/100", len(*got0))
 	}
 }
+
+// TestDroppedAtDeliveryRecyclesRecord: a message whose destination
+// crashes while it is in flight is dropped at delivery, and its
+// in-flight record still goes back to the pool for the next Send.
+func TestDroppedAtDeliveryRecyclesRecord(t *testing.T) {
+	s := simtime.NewScheduler(1)
+	nw := New(s, 2, WithLatency(FixedLatency(10*time.Millisecond)))
+	got := collector(nw, 1)
+	nw.Send(0, 1, "lost")
+	if len(nw.free) != 0 {
+		t.Fatalf("free list holds %d records while the message is in flight", len(nw.free))
+	}
+	nw.SetNodeDown(1, true)
+	s.Run()
+	if len(*got) != 0 || nw.Stats().DroppedNode != 1 {
+		t.Fatalf("got %v, DroppedNode %d; want nothing delivered, 1 drop", *got, nw.Stats().DroppedNode)
+	}
+	if len(nw.free) != 1 {
+		t.Fatalf("free list holds %d records after the drop, want 1", len(nw.free))
+	}
+	rec := nw.free[0]
+	if rec.payload != nil {
+		t.Fatal("recycled record still references its payload")
+	}
+	nw.SetNodeDown(1, false)
+	nw.Send(0, 1, "found")
+	if len(nw.free) != 0 {
+		t.Fatal("Send did not reuse the recycled record")
+	}
+	s.Run()
+	if len(*got) != 1 || (*got)[0] != "found" {
+		t.Fatalf("got %v, want [found]", *got)
+	}
+	if len(nw.free) != 1 || nw.free[0] != rec {
+		t.Fatal("the reused record did not return to the pool")
+	}
+}

@@ -1,6 +1,7 @@
 // Package simtime provides a deterministic discrete-event simulation
-// kernel: a virtual clock, an event queue ordered by virtual time, and
-// cancellable timers.
+// kernel: a virtual clock, an event queue ordered by virtual time,
+// cancellable timers, periodic timers and recycled fire-and-forget
+// events.
 //
 // All experiments and tests in this repository run on virtual time so
 // that every run is exactly reproducible. A Scheduler is single-threaded:
@@ -33,15 +34,22 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Event is a scheduled callback. It is returned by the scheduling
-// methods so callers can cancel it before it fires.
+// Event is a scheduled callback. It is returned by At, After and Every
+// so callers can cancel it before it fires. Events scheduled with Post
+// are never handed out: the scheduler recycles them once they run.
 type Event struct {
 	when    Time
 	seq     uint64 // tie-breaker: insertion order
 	fn      func()
-	index   int // heap index; -1 once popped or cancelled
+	run     Runner   // Post events; recycled after they run
+	period  Duration // Every events; re-armed before each run
+	index   int      // heap index; -1 once popped or cancelled
 	cancled bool
 }
+
+// Runner is the body of a Post event. A caller that posts a pointer to
+// a pooled record schedules it without allocating.
+type Runner interface{ Run() }
 
 // When reports the virtual time at which the event fires (or would have
 // fired, if cancelled).
@@ -84,6 +92,7 @@ type Scheduler struct {
 	queue   eventQueue
 	nextSeq uint64
 	rng     *rand.Rand
+	free    []*Event // recycled Post events
 
 	// processed counts events that have been executed.
 	processed uint64
@@ -112,12 +121,49 @@ func (s *Scheduler) Pending() int { return len(s.queue) }
 // at the present instant) panics: discrete-event causality would be
 // violated silently otherwise.
 func (s *Scheduler) At(t Time, fn func()) *Event {
+	e := &Event{fn: fn}
+	s.push(e, t)
+	return e
+}
+
+// push queues e to fire at t, after every event already queued for t.
+func (s *Scheduler) push(e *Event, t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", t, s.now))
 	}
-	e := &Event{when: t, seq: s.nextSeq, fn: fn}
+	e.when, e.seq = t, s.nextSeq
 	s.nextSeq++
 	heap.Push(&s.queue, e)
+}
+
+// Post schedules r.Run at virtual time t, like At, but returns no
+// handle: the event cannot be cancelled, and the scheduler reuses it
+// for a later Post once it has run, so steady-state posting allocates
+// nothing.
+func (s *Scheduler) Post(t Time, r Runner) {
+	var e *Event
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		e = new(Event)
+	}
+	e.run = r
+	s.push(e, t)
+}
+
+// Every schedules fn to run every d of virtual time, first at d from
+// now, until the returned event is cancelled (from outside or from fn
+// itself). Each firing re-arms the event before fn runs, so the next
+// tick takes the sequence number an After(d, ...) call made at the
+// start of fn would: events fn schedules for the same instant run after
+// it. d must be positive.
+func (s *Scheduler) Every(d Duration, fn func()) *Event {
+	if d <= 0 {
+		panic(fmt.Sprintf("simtime: non-positive period %v", d))
+	}
+	e := s.At(s.now.Add(d), fn)
+	e.period = d
 	return e
 }
 
@@ -163,7 +209,18 @@ func (s *Scheduler) Step() bool {
 	e := heap.Pop(&s.queue).(*Event)
 	s.now = e.when
 	s.processed++
-	e.fn()
+	switch {
+	case e.run != nil:
+		r := e.run
+		e.run = nil
+		s.free = append(s.free, e)
+		r.Run()
+	case e.period > 0:
+		s.push(e, e.when.Add(e.period))
+		e.fn()
+	default:
+		e.fn()
+	}
 	return true
 }
 

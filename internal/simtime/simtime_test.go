@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -250,5 +251,116 @@ func TestTimeStringAndArith(t *testing.T) {
 	}
 	if tm.Sub(Time(time.Second)) != 500*time.Millisecond {
 		t.Error("Sub wrong")
+	}
+}
+
+func TestPostRunsInOrderAndRecycles(t *testing.T) {
+	s := NewScheduler(1)
+	var got []int
+	s.At(2, func() { got = append(got, 2) })
+	s.Post(1, runFunc(func() { got = append(got, 1) }))
+	s.Post(2, runFunc(func() { got = append(got, 3) }))
+	s.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("order = %v, want [1 2 3]", got)
+	}
+	if len(s.free) != 2 {
+		t.Fatalf("free list holds %d events after two Posts ran, want 2", len(s.free))
+	}
+	// The At event's handle is never recycled: cancelling it after it
+	// fired stays a no-op and touches no Post event.
+	e := s.At(5, func() {})
+	s.Post(5, runFunc(func() {}))
+	s.Run()
+	if s.Cancel(e) {
+		t.Fatal("Cancel reported success on a fired At event")
+	}
+	for _, f := range s.free {
+		if f == e {
+			t.Fatal("an At event was put on the free list")
+		}
+	}
+}
+
+// runFunc adapts a closure to Runner for tests.
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
+func TestEveryCancelledFromOutside(t *testing.T) {
+	s := NewScheduler(1)
+	fired := 0
+	e := s.Every(10*time.Millisecond, func() { fired++ })
+	s.RunFor(35 * time.Millisecond)
+	if fired != 3 {
+		t.Fatalf("fired %d times in 35ms at a 10ms period, want 3", fired)
+	}
+	if !s.Cancel(e) {
+		t.Fatal("Cancel of an armed periodic event reported false")
+	}
+	s.RunFor(time.Second)
+	if fired != 3 || s.Pending() != 0 {
+		t.Fatalf("after Cancel: fired %d, pending %d; want 3, 0", fired, s.Pending())
+	}
+}
+
+func TestEveryCancelledFromItsBody(t *testing.T) {
+	s := NewScheduler(1)
+	fired := 0
+	var e *Event
+	e = s.Every(10*time.Millisecond, func() {
+		fired++
+		if fired == 2 {
+			if !s.Cancel(e) {
+				t.Error("Cancel from the body reported false")
+			}
+		}
+	})
+	s.RunFor(time.Second)
+	if fired != 2 || s.Pending() != 0 {
+		t.Fatalf("fired %d, pending %d; want 2, 0", fired, s.Pending())
+	}
+}
+
+// TestEveryOrdersLikeAfterAtBodyStart checks the re-arm contract: a
+// periodic tick is ordered exactly as an After(d) call made first thing
+// in the body of a self-rescheduling event would be, against events
+// the body schedules and events queued for the same instants.
+func TestEveryOrdersLikeAfterAtBodyStart(t *testing.T) {
+	const d = 10 * time.Millisecond
+	trace := func(periodic bool) []string {
+		s := NewScheduler(1)
+		var log []string
+		n := 0
+		body := func() {
+			n++
+			log = append(log, fmt.Sprintf("tick%d@%v", n, s.Now()))
+			// Same instant as the next tick, scheduled after the re-arm.
+			s.After(d, func() { log = append(log, fmt.Sprintf("after%d@%v", n, s.Now())) })
+			s.After(0, func() { log = append(log, fmt.Sprintf("now%d@%v", n, s.Now())) })
+		}
+		// Queued before the periodic starts, for instants ticks land on.
+		for i := 1; i <= 4; i++ {
+			s.At(Time(time.Duration(i)*d), func() { log = append(log, fmt.Sprintf("pre@%v", s.Now())) })
+		}
+		if periodic {
+			s.Every(d, body)
+		} else {
+			var rearm func()
+			rearm = func() {
+				s.After(d, rearm)
+				body()
+			}
+			s.After(d, rearm)
+		}
+		s.RunUntil(Time(4 * d))
+		return log
+	}
+	want, got := trace(false), trace(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("periodic order\n got %v\nwant %v", got, want)
+	}
+	if len(got) < 12 {
+		t.Fatalf("trace too short to test ordering: %v", got)
 	}
 }

@@ -401,7 +401,9 @@ func appendBatch(b []byte, m broadcast.DataBatch) []byte {
 
 // appendDigest encodes the Have vector sorted by node id, so equal
 // digests encode to equal bytes (map iteration order must not leak into
-// the wire image).
+// the wire image). The ids are sorted in a stack buffer, so a digest of
+// up to 16 streams encodes without allocating; a larger one spills the
+// buffer to the heap.
 func appendDigest(b []byte, m broadcast.Digest) []byte {
 	if m.Delta {
 		b = append(b, 1)
@@ -409,11 +411,12 @@ func appendDigest(b []byte, m broadcast.Digest) []byte {
 		b = append(b, 0)
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Have)))
-	ids := make([]netsim.NodeID, 0, len(m.Have))
+	var buf [16]netsim.NodeID
+	ids := buf[:0]
 	for o := range m.Have {
 		ids = append(ids, o)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort: tiny n, zero alloc
+	for i := 1; i < len(ids); i++ { // insertion sort: tiny n
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}

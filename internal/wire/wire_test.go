@@ -227,3 +227,29 @@ func TestSizeMemoizesUnencodable(t *testing.T) {
 		t.Fatalf("memoized Size of unencodable = %d", got)
 	}
 }
+
+// TestWideDigestRoundTrip: a digest with more streams than appendDigest's
+// stack buffer holds still encodes sorted and round-trips.
+func TestWideDigestRoundTrip(t *testing.T) {
+	d := broadcast.Digest{Have: make(map[netsim.NodeID]uint64)}
+	for i := 0; i < 40; i++ {
+		d.Have[netsim.NodeID((i*17)%40)] = uint64(i + 1)
+	}
+	b, err := Encode(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		again, _ := Encode(d)
+		if string(again) != string(b) {
+			t.Fatal("equal digests encoded to different bytes")
+		}
+	}
+	got, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, d) {
+		t.Errorf("round trip: got %+v want %+v", got, d)
+	}
+}
